@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"strings"
 
 	"mcpaging/internal/core"
@@ -31,34 +32,69 @@ import (
 // mcfleet consistent-hashes it onto the worker ring, so a job lands on
 // the worker whose result cache is most likely to already hold it —
 // the per-worker caches compose into one logical distributed cache.
+//
+// The byte stream is appended into a fixed block that is hashed whole
+// blocks at a time; the stream, and so every key, is the same as
+// hashing it a varint at a time.
 func JobKey(rs core.RequestSet, spec string, p core.Params, seed int64) string {
-	h := sha256.New()
-	var buf [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) {
-		h.Write(buf[:binary.PutUvarint(buf[:], v)])
-	}
-	writeVarint := func(v int64) {
-		h.Write(buf[:binary.PutVarint(buf[:], v)])
-	}
-	h.Write([]byte("mcservd/job/v3\x00"))
-	writeVarint(int64(p.K))
-	writeVarint(int64(p.Tau))
+	w := &keyWriter{h: sha256.New(), blk: make([]byte, keyBlock)}
+	w.write([]byte("mcservd/job/v3\x00"))
+	w.varint(int64(p.K))
+	w.varint(int64(p.Tau))
 	var capEnc []byte
 	if p.Capacity != nil {
 		capEnc = p.Capacity.Canonical()
 	}
-	writeUvarint(uint64(len(capEnc)))
-	h.Write(capEnc)
-	writeVarint(seed)
+	w.uvarint(uint64(len(capEnc)))
+	w.write(capEnc)
+	w.varint(seed)
 	spec = strings.TrimSpace(spec)
-	writeUvarint(uint64(len(spec)))
-	h.Write([]byte(spec))
-	writeUvarint(uint64(len(rs)))
+	w.uvarint(uint64(len(spec)))
+	w.write([]byte(spec))
+	w.uvarint(uint64(len(rs)))
 	for _, seq := range rs {
-		writeUvarint(uint64(len(seq)))
+		w.uvarint(uint64(len(seq)))
 		for _, pg := range seq {
-			writeVarint(int64(pg))
+			if w.n > keyBlock-binary.MaxVarintLen64 {
+				w.flush()
+			}
+			w.n += binary.PutVarint(w.blk[w.n:], int64(pg))
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	w.flush()
+	return hex.EncodeToString(w.h.Sum(nil))
+}
+
+// keyBlock is the size of the block JobKey hashes at a time.
+const keyBlock = 32 << 10
+
+// keyWriter buffers JobKey's byte stream into a block for the hash.
+type keyWriter struct {
+	h   hash.Hash
+	n   int // bytes buffered in blk
+	blk []byte
+}
+
+func (w *keyWriter) flush() {
+	w.h.Write(w.blk[:w.n])
+	w.n = 0
+}
+
+func (w *keyWriter) write(b []byte) {
+	w.flush()
+	w.h.Write(b)
+}
+
+func (w *keyWriter) uvarint(v uint64) {
+	if w.n > keyBlock-binary.MaxVarintLen64 {
+		w.flush()
+	}
+	w.n += binary.PutUvarint(w.blk[w.n:], v)
+}
+
+func (w *keyWriter) varint(v int64) {
+	if w.n > keyBlock-binary.MaxVarintLen64 {
+		w.flush()
+	}
+	w.n += binary.PutVarint(w.blk[w.n:], v)
 }

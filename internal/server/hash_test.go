@@ -10,6 +10,7 @@ import (
 	"mcpaging/internal/capacity"
 	"mcpaging/internal/core"
 	"mcpaging/internal/trace"
+	"mcpaging/internal/workload"
 )
 
 func TestJobKeyCanonicalAcrossInputModes(t *testing.T) {
@@ -56,6 +57,49 @@ func TestJobKeyCanonicalAcrossInputModes(t *testing.T) {
 			t.Fatalf("key collision between %s and %s", prev, name)
 		}
 		seen[k] = name
+	}
+}
+
+// TestJobKeyGolden pins keys computed by the varint-at-a-time JobKey
+// that preceded block hashing. The key is the fleet's routing key and
+// the result cache's address, so any change to the byte stream — or to
+// how it is fed to the hash — must show up here.
+func TestJobKeyGolden(t *testing.T) {
+	zipf, err := workload.Generate(workload.Spec{Kind: workload.Zipf, Cores: 4, Length: 64 << 10, Pages: 1024, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := func(spec string) core.CapacitySchedule {
+		s, err := capacity.ParseSchedule(spec, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	small := core.RequestSet{{1, 2, 3, 1}, {9, 8, 9}}
+	for _, c := range []struct {
+		name string
+		key  string
+		want string
+	}{
+		{"one-core", JobKey(core.RequestSet{{1, 2, 3, 1, 2, 4, 5, 1}}, "S(LRU)", core.Params{K: 4, Tau: 2}, 1),
+			"7f49a3274a17693e97930b9c0af7988cc27f9e8700cfbbb8ee433f4ac1f973c6"},
+		{"zipf-4x64K", JobKey(zipf, "S(LRU)", core.Params{K: 1024, Tau: 4}, 0),
+			"ddb63e228b6c05e2788afd2126070e00e7275bab00944c0a37c544affd8d00f1"},
+		{"empty-core", JobKey(core.RequestSet{{5, 6, 7}, {}, {8, 8, 9}}, "S(FIFO)", core.Params{K: 3, Tau: 1}, 3),
+			"64a77b49b306d86961c22c2ddb055af13ae0107d8562e8bb1f2c2299cd7d57e7"},
+		{"capacity-step", JobKey(small, "S(LRU)", core.Params{K: 16, Tau: 2, Capacity: sched("step(to=50%,at=2)")}, 1),
+			"bb19dbdf8b57fe37a7b2978aa52fcda3518ae5ac8b7a1107c06212f013b13ec0"},
+		{"capacity-periodic", JobKey(zipf, "sP[even](LRU)", core.Params{K: 16, Tau: 2, Capacity: sched("periodic(lo=8,period=2048,duty=0.5)")}, -5),
+			"e2594abd097875cfbe0c45df468437e9f83cec3b85b7b32e038e35d015d0e22b"},
+		{"padded-spec", JobKey(small, " \t dP(LRU)\n ", core.Params{K: 4, Tau: 2}, 1),
+			"cb416916230b50c4be20145c5d640b9430b27b8a0ced1cce5e03b07533e831ee"},
+		{"large-ids", JobKey(core.RequestSet{{1<<31 - 1, 0, 1 << 20, 63, 64, 8191, 8192}}, "S(LRU)", core.Params{K: 2, Tau: 0}, 1<<40),
+			"acd715c794da2bc39b3b74b7c34fea11e6ef221d44e5f6cb5ccfcdc23e6e2605"},
+	} {
+		if c.key != c.want {
+			t.Errorf("%s: key %s, want %s", c.name, c.key, c.want)
+		}
 	}
 }
 

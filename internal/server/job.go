@@ -70,7 +70,7 @@ func (t TraceInput) Resolve(maxRequests int) (core.RequestSet, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: binary_b64: %w", err)
 		}
-		rs, err = trace.ReadBinary(bytes.NewReader(raw))
+		rs, err = trace.ReadBinary(bytes.NewReader(raw), maxRequests)
 		if err != nil {
 			return nil, err
 		}

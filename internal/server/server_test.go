@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -545,6 +547,40 @@ func TestJobValidationErrors(t *testing.T) {
 		if resp.StatusCode != tc.code {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.code)
 		}
+	}
+}
+
+// TestBinaryTraceBoundedByBudget posts a 12-byte binary trace whose
+// one core claims 2^28 requests. The decoder must refuse the claim
+// against the server's request budget before allocating for it: a 400
+// naming the claim and the budget, and far less than the claimed
+// gibibyte allocated.
+func TestBinaryTraceBoundedByBudget(t *testing.T) {
+	s := New(Config{Workers: 1, MaxRequests: 1024})
+	t.Cleanup(s.Drain)
+	raw := []byte("MCPT\x01\x01\x80\x80\x80\x80\x01\x00")
+	body, err := json.Marshal(JobRequest{
+		Trace:    TraceInput{BinaryB64: base64.StdEncoding.EncodeToString(raw)},
+		Strategy: "S(LRU)", K: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body)
+	}
+	for _, want := range []string{"claims 268435456 requests", "budget of 1024"} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("error %q does not name %q", rec.Body, want)
+		}
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+		t.Errorf("rejecting the body allocated %d bytes, want under 1 MiB", d)
 	}
 }
 

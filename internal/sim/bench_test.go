@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"testing"
 
 	"mcpaging/internal/cache"
@@ -160,7 +161,7 @@ func BenchmarkSimStream(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := trace.NewDecoder(bytes.NewReader(data))
+		d, err := trace.NewDecoder(bytes.NewReader(data), math.MaxInt)
 		if err != nil {
 			b.Fatal(err)
 		}

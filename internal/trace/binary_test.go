@@ -3,8 +3,10 @@ package trace
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -31,7 +33,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if err := WriteBinary(&buf, rs); err != nil {
 			return false
 		}
-		got, err := ReadBinary(&buf)
+		got, err := ReadBinary(&buf, math.MaxInt)
 		if err != nil {
 			return false
 		}
@@ -91,8 +93,53 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 		[]byte("MCPT\x01\x01\x05\x02"), // truncated payload
 	}
 	for i, c := range cases {
-		if _, err := ReadBinary(bytes.NewReader(c)); err == nil {
+		if _, err := ReadBinary(bytes.NewReader(c), math.MaxInt); err == nil {
 			t.Errorf("case %d should fail", i)
+		}
+	}
+}
+
+// TestDecoderErrorsNameWhere pins the decoder's error messages: each
+// names the core, the request (or the core's length field) and the
+// byte offset of the varint at fault, and what was wrong with it.
+func TestDecoderErrorsNameWhere(t *testing.T) {
+	var twoCores bytes.Buffer
+	if err := WriteBinary(&twoCores, core.RequestSet{make(core.Sequence, 600), make(core.Sequence, 600)}); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		data   string
+		budget int
+		want   string
+	}{
+		{"truncated core count", "MCPT\x01", math.MaxInt,
+			"trace: core count at byte 5: truncated varint: unexpected EOF"},
+		{"truncated length", "MCPT\x01\x02\x01\x00", math.MaxInt,
+			"trace: core 1 length at byte 8: truncated varint: unexpected EOF"},
+		{"truncated at a request boundary", "MCPT\x01\x01\x03\x02", math.MaxInt,
+			"trace: core 0 request 1 at byte 8: truncated varint: unexpected EOF"},
+		{"truncated inside a varint", "MCPT\x01\x01\x03\x02\x80", math.MaxInt,
+			"trace: core 0 request 1 at byte 8: truncated varint: unexpected EOF"},
+		{"overflow", "MCPT\x01\x01\x01" + strings.Repeat("\xff", 10) + "\x01", math.MaxInt,
+			"trace: core 0 request 0 at byte 7: varint overflows 64 bits"},
+		{"negative page", "MCPT\x01\x02\x01\x02\x02\x01", math.MaxInt,
+			"trace: core 1 request 0 at byte 9: page -1 out of range [0, 2^31-1]"},
+		{"page above 2^31-1", "MCPT\x01\x01\x01\x80\x80\x80\x80\x10", math.MaxInt,
+			"trace: core 0 request 0 at byte 7: page 2147483648 out of range [0, 2^31-1]"},
+		{"implausible length", "MCPT\x01\x01\x81\x80\x80\x80\x01", math.MaxInt,
+			"trace: core 0 length at byte 6: implausible sequence length 268435457"},
+		{"cores over budget", "MCPT\x01\x05", 4,
+			"trace: header claims 5 cores, over the request budget of 4"},
+		{"length over budget", "MCPT\x01\x01\x80\x80\x80\x80\x01\x00", 1024,
+			"trace: core 0 length at byte 6: claims 268435456 requests, over the request budget of 1024 (0 claimed by earlier cores)"},
+		{"running total over budget", twoCores.String(), 1000,
+			"trace: core 1 length at byte 608: claims 600 requests, over the request budget of 1000 (600 claimed by earlier cores)"},
+	}
+	for _, c := range cases {
+		_, err := ReadBinary(strings.NewReader(c.data), c.budget)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s:\n got %v\nwant %s", c.name, err, c.want)
 		}
 	}
 }
@@ -109,7 +156,7 @@ func TestDecoderStreamsInChunks(t *testing.T) {
 		if err := WriteBinary(&bin, rs); err != nil {
 			return false
 		}
-		d, err := NewDecoder(&bin)
+		d, err := NewDecoder(&bin, math.MaxInt)
 		if err != nil {
 			return false
 		}
@@ -169,7 +216,7 @@ func TestDecoderMisuse(t *testing.T) {
 	if err := WriteBinary(&bin, rs); err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDecoder(&bin)
+	d, err := NewDecoder(&bin, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +244,8 @@ func TestDecoderMisuse(t *testing.T) {
 	}
 }
 
-// FuzzReadAuto ensures arbitrary input never panics the parsers.
+// FuzzReadAuto ensures arbitrary input never panics the parsers and
+// that a decoded binary trace is no larger than its input.
 func FuzzReadAuto(f *testing.F) {
 	rs := core.RequestSet{{1, 2, 3}, {9, 9}}
 	var txt, bin bytes.Buffer
@@ -209,6 +257,11 @@ func FuzzReadAuto(f *testing.F) {
 	f.Add([]byte("MCPT\x01\x01\x01\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rs, err := ReadAuto(bytes.NewReader(data))
+		// Every binary request costs at least one byte, so what decodes
+		// is bounded by the input, not by the lengths it claims.
+		if err == nil && bytes.HasPrefix(data, []byte("MCPT")) && rs.TotalLen() > len(data) {
+			t.Fatalf("%d bytes decoded to %d requests", len(data), rs.TotalLen())
+		}
 		if err == nil {
 			// Whatever parsed must re-serialise cleanly.
 			var buf bytes.Buffer

@@ -94,7 +94,8 @@ func Read(r io.Reader) (core.RequestSet, error) {
 	if p < 1 || p > 1<<20 {
 		return nil, fmt.Errorf("trace: implausible core count %d", p)
 	}
-	rs := make(core.RequestSet, p)
+	// Allocate by what arrives, not by what the header claims.
+	rs := make(core.RequestSet, 0, min(p, 1024))
 	for j := 0; j < p; j++ {
 		if tok, err := next(); err != nil || tok != "core" {
 			return nil, fmt.Errorf("trace: expected 'core', got %q (err=%v)", tok, err)
@@ -113,7 +114,7 @@ func Read(r io.Reader) (core.RequestSet, error) {
 		if n < 0 || n > 1<<28 {
 			return nil, fmt.Errorf("trace: implausible sequence length %d", n)
 		}
-		seq := make(core.Sequence, n)
+		seq := make(core.Sequence, 0, min(n, 64<<10))
 		for i := 0; i < n; i++ {
 			v, err := nextInt()
 			if err != nil {
@@ -122,9 +123,9 @@ func Read(r io.Reader) (core.RequestSet, error) {
 			if v < 0 {
 				return nil, fmt.Errorf("trace: negative page %d", v)
 			}
-			seq[i] = core.PageID(v)
+			seq = append(seq, core.PageID(v))
 		}
-		rs[j] = seq
+		rs = append(rs, seq)
 	}
 	return rs, nil
 }

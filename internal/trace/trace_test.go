@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -86,5 +87,29 @@ func TestWrappedTokensAccepted(t *testing.T) {
 	want := core.RequestSet{{1, 2, 3, 4}}
 	if !reflect.DeepEqual(rs, want) {
 		t.Fatalf("got %v, want %v", rs, want)
+	}
+}
+
+// TestReadersAllocateByArrival feeds both readers a few bytes whose
+// header claims 2^20 cores or a 2^28-request core. Without a request
+// budget to refuse the claim, memory must still follow the bytes that
+// arrive, not the lengths claimed.
+func TestReadersAllocateByArrival(t *testing.T) {
+	for _, in := range []string{
+		"mcpaging-trace v1 cores 1048576 core 0 1 7",
+		"mcpaging-trace v1 cores 1 core 0 268435456 7 8",
+		"MCPT\x01\x80\x80\x40\x01\x0e",
+		"MCPT\x01\x01\x80\x80\x80\x80\x01\x0e\x02",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadAuto(strings.NewReader(in))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%q: truncated trace accepted", in)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+			t.Errorf("%q: allocated %d bytes, want under 1 MiB", in, d)
+		}
 	}
 }

@@ -25,6 +25,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -423,7 +424,7 @@ func sampleTrace(p famParams, seed int64) (core.RequestSet, error) {
 	defer f.Close()
 	var rs core.RequestSet
 	if filepath.Ext(path) == ".bin" {
-		rs, err = trace.ReadBinary(f)
+		rs, err = trace.ReadBinary(f, math.MaxInt)
 	} else {
 		rs, err = trace.Read(f)
 	}
