@@ -550,6 +550,38 @@ func TestJobValidationErrors(t *testing.T) {
 	}
 }
 
+// TestZipfParamsRejectedOverHTTP posts workload specs whose Zipf
+// parameters lie outside the box workload.Spec.Validate accepts. A huge
+// v used to panic the handler (an index past the page permutation) and
+// a huge s with a large v put every draw out of range; each must now be
+// a 400 that names the offending field.
+func TestZipfParamsRejectedOverHTTP(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	cases := []struct{ params, field string }{
+		{`"zipf_v":1e300`, "zipf_v"},
+		{`"zipf_s":100,"zipf_v":1e6`, "zipf_s"},
+		{`"zipf_s":1`, "zipf_s"},
+		{`"zipf_s":0.5`, "zipf_s"},
+		{`"zipf_v":0.5`, "zipf_v"},
+	}
+	for _, tc := range cases {
+		body := `{"trace":{"workload":{"cores":2,"length":64,"pages":16,"kind":"zipf","seed":1,` +
+			tc.params + `}},"strategy":"S(LRU)","k":4,"tau":1}`
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.params, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", tc.params, resp.StatusCode, msg)
+		}
+		if !strings.Contains(string(msg), tc.field) {
+			t.Errorf("%s: error %q does not name %s", tc.params, msg, tc.field)
+		}
+	}
+}
+
 // TestBinaryTraceBoundedByBudget posts a 12-byte binary trace whose
 // one core claims 2^28 requests. The decoder must refuse the claim
 // against the server's request budget before allocating for it: a 400

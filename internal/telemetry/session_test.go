@@ -9,6 +9,7 @@ import (
 	"mcpaging/internal/core"
 	"mcpaging/internal/sim"
 	"mcpaging/internal/strategyspec"
+	"mcpaging/internal/workload"
 )
 
 func TestSessionRoundTrip(t *testing.T) {
@@ -102,23 +103,24 @@ func Start2ndSessionSameDir(dir string) error {
 	return sess.Close(sim.Result{Faults: []int64{0}, Hits: []int64{0}, Finish: []int64{0}})
 }
 
+// BenchmarkCollectorObserve replays the event stream of mcservd's
+// baseline job — a 4×64K Zipf request set over 1024 pages per core, with
+// core j's pages at j·65536+x, under S(LRU) at K 256, τ 8 — through a
+// fresh Collector per run, window rotation included.
 func BenchmarkCollectorObserve(b *testing.B) {
-	c := New(Config{Cores: 4, Params: core.Params{K: 64, Tau: 4}, Window: 1024})
-	evs := make([]sim.Event, 1024)
-	for i := range evs {
-		fault := i%3 == 0
-		v := core.NoPage
-		if fault && i > 64 {
-			v = core.PageID((i * 7) % 64)
-		}
-		evs[i] = sim.Event{
-			Time: int64(i), Core: i % 4, Index: i / 4,
-			Page: core.PageID(i % 64), Fault: fault, Victim: v,
-		}
+	rs, err := workload.Generate(workload.Spec{Cores: 4, Length: 65536, Pages: 1024, Kind: workload.Zipf, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
 	}
+	params := core.Params{K: 256, Tau: 8}
+	evs := record(b, rs, "S(LRU)", params)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Observe(evs[i%len(evs)])
+	for n := 0; n < b.N; {
+		c := New(Config{Cores: 4, Params: params})
+		for _, e := range evs[:min(len(evs), b.N-n)] {
+			c.Observe(e)
+		}
+		n += len(evs)
 	}
 }

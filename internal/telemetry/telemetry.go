@@ -7,10 +7,11 @@
 // The package is strictly a consumer of sim.Event values: attaching a
 // Collector costs one closure call per event, and not attaching one
 // costs nothing — the simulator's nil-observer fast path is untouched.
-// Memory is bounded by O(cores × retained windows): the collector keeps
-// per-core accumulators for the window being filled plus a ring of at
-// most MaxWindows closed windows; older windows are dropped (and
-// counted) rather than growing without bound.
+// Memory is bounded by O(cores × retained windows + K): the collector
+// keeps per-core accumulators for the window being filled, a ring of at
+// most MaxWindows closed windows — older windows are dropped (and
+// counted) rather than growing without bound — and one page → core
+// entry per cached cell.
 //
 // Timeline semantics: simulation time is split into fixed-width windows
 // [i·W, (i+1)·W). A window closes when the first event at or past its
@@ -34,6 +35,10 @@ const DefaultWindow int64 = 1024
 // DefaultMaxWindows is the closed-window ring capacity used when
 // Config.MaxWindows is zero.
 const DefaultMaxWindows = 1 << 16
+
+// maxPresize caps the residency New sizes the page-holder table for; a
+// larger cache grows the table as it fills.
+const maxPresize = 1 << 16
 
 // Config parameterises a Collector.
 type Config struct {
@@ -152,16 +157,18 @@ type Collector struct {
 	curJain  []int64
 	anyEvent bool
 
-	holder map[core.PageID]int32 // cached page → core whose fetch brought it in
-	occ    []int64               // per-core cells attributed
+	holder holderTable // cached page → core whose fetch brought it in
+	occ    []int64     // per-core cells attributed
 
-	cumReq, cumFaults, cumHits, cumJoins []int64
-	donated, taken                       []int64
-	partChanges, volEvictions            int64
+	// Observe counts into the open window only; closeCur folds each
+	// closed window into these run totals, and Totals adds the open one.
+	cum                       []CoreWindow // per core: Requests, Faults, Hits, Joins
+	partChanges, volEvictions int64
+	capChanges, capEvictions  int64
+	donated, taken            []int64
 
-	elastic                  bool  // run carries a non-constant schedule
-	curK, minK               int64 // K(t) in force / minimum seen
-	capChanges, capEvictions int64
+	elastic    bool  // run carries a non-constant schedule
+	curK, minK int64 // K(t) in force / minimum seen
 
 	ring      []Window
 	ringStart int
@@ -186,20 +193,17 @@ func New(cfg Config) *Collector {
 	}
 	p := cfg.Cores
 	c := &Collector{
-		cores:     p,
-		tau:       int64(cfg.Params.Tau),
-		window:    w,
-		maxWin:    mw,
-		curJain:   make([]int64, p),
-		holder:    make(map[core.PageID]int32),
-		occ:       make([]int64, p),
-		cumReq:    make([]int64, p),
-		cumHits:   make([]int64, p),
-		cumJoins:  make([]int64, p),
-		cumFaults: make([]int64, p),
-		donated:   make([]int64, p),
-		taken:     make([]int64, p),
-		events:    cfg.Events,
+		cores:   p,
+		tau:     int64(cfg.Params.Tau),
+		window:  w,
+		maxWin:  mw,
+		curJain: make([]int64, p),
+		holder:  newHolderTable(min(cfg.Params.K, maxPresize) + p),
+		occ:     make([]int64, p),
+		cum:     make([]CoreWindow, p),
+		donated: make([]int64, p),
+		taken:   make([]int64, p),
+		events:  cfg.Events,
 	}
 	if cs := cfg.Params.Capacity; cs != nil && !cs.Constant() {
 		c.elastic = true
@@ -223,14 +227,24 @@ func (c *Collector) resetCur(index int64) {
 	}
 }
 
-// closeCur finalises the current window into the ring and opens the next.
+// closeCur finalises the current window into the ring and the run
+// totals, and opens the next.
 func (c *Collector) closeCur() {
 	for j := range c.cur.Cores {
-		cw := &c.cur.Cores[j]
+		cw, cum := &c.cur.Cores[j], &c.cum[j]
+		cw.Requests = cw.Hits + cw.Faults
+		cum.Requests += cw.Requests
+		cum.Faults += cw.Faults
+		cum.Hits += cw.Hits
+		cum.Joins += cw.Joins
 		cw.Occupancy = c.occ[j]
-		cw.TauDebt = c.cumFaults[j] * c.tau
+		cw.TauDebt = cum.Faults * c.tau
 		c.curJain[j] = cw.Faults
 	}
+	c.partChanges += c.cur.PartitionChanges
+	c.volEvictions += c.cur.VoluntaryEvictions
+	c.capChanges += c.cur.CapacityChanges
+	c.capEvictions += c.cur.CapacityEvictions
 	c.cur.FaultJain = metrics.JainIndex(c.curJain)
 	if c.elastic {
 		c.cur.CapacityK = c.curK
@@ -268,12 +282,10 @@ func (c *Collector) Observe(e sim.Event) {
 			// Capacity-pressure eviction: the engine shed e.Page to fit a
 			// shrunken K(t). The holder loses the cell but no core takes
 			// it, so the partition counters stay untouched.
-			if h, ok := c.holder[e.Page]; ok {
+			if h, ok := c.holder.remove(e.Page); ok {
 				c.occ[h]--
-				delete(c.holder, e.Page)
 			}
 			c.cur.CapacityEvictions++
-			c.capEvictions++
 			return
 		}
 		// Announcement: K(t) changed at e.Time.
@@ -282,7 +294,6 @@ func (c *Collector) Observe(e sim.Event) {
 			c.minK = c.curK
 		}
 		c.cur.CapacityChanges++
-		c.capChanges++
 		return
 	}
 	if e.Tick {
@@ -291,51 +302,41 @@ func (c *Collector) Observe(e sim.Event) {
 		// additionally a partition change: the holder donated the cell,
 		// though the recipient is unknown until a later fault grows into
 		// it, so TakenCells stays untouched here.
-		if h, ok := c.holder[e.Page]; ok {
+		if h, ok := c.holder.remove(e.Page); ok {
 			c.occ[h]--
-			delete(c.holder, e.Page)
 			if e.Donor {
 				c.donated[h]++
 				c.cur.PartitionChanges++
-				c.partChanges++
 			}
 		}
 		c.cur.VoluntaryEvictions++
-		c.volEvictions++
 		return
 	}
 	if e.Core < 0 || e.Core >= c.cores {
 		return
 	}
+	// Requests is Hits + Faults, filled in when the window closes.
 	cw := &c.cur.Cores[e.Core]
-	cw.Requests++
-	c.cumReq[e.Core]++
 	switch {
 	case !e.Fault:
 		cw.Hits++
-		c.cumHits[e.Core]++
 	case e.Join:
 		// Shared in-flight cell: a fault for the core, no cell movement.
 		cw.Faults++
 		cw.Joins++
-		c.cumFaults[e.Core]++
-		c.cumJoins[e.Core]++
 	default:
 		cw.Faults++
-		c.cumFaults[e.Core]++
 		if e.Victim != core.NoPage {
-			if h, ok := c.holder[e.Victim]; ok {
+			if h, ok := c.holder.remove(e.Victim); ok {
 				c.occ[h]--
-				delete(c.holder, e.Victim)
 				if int(h) != e.Core {
 					c.donated[h]++
 					c.taken[e.Core]++
 					c.cur.PartitionChanges++
-					c.partChanges++
 				}
 			}
 		}
-		c.holder[e.Page] = int32(e.Core)
+		c.holder.put(e.Page, int32(e.Core))
 		c.occ[e.Core]++
 	}
 }
@@ -378,27 +379,33 @@ func (c *Collector) Windows() []Window {
 
 // Totals returns the end-of-run counter snapshot.
 func (c *Collector) Totals() Totals {
-	cp := func(s []int64) []int64 { return append([]int64(nil), s...) }
-	td := make([]int64, c.cores)
-	for j := range td {
-		td[j] = c.cumFaults[j] * c.tau
+	p := c.cores
+	req, faults, hits, joins, td := make([]int64, p), make([]int64, p), make([]int64, p), make([]int64, p), make([]int64, p)
+	for j, cum := range c.cum {
+		open := c.cur.Cores[j]
+		hits[j] = cum.Hits + open.Hits
+		faults[j] = cum.Faults + open.Faults
+		req[j] = hits[j] + faults[j]
+		joins[j] = cum.Joins + open.Joins
+		td[j] = faults[j] * c.tau
 	}
+	cp := func(s []int64) []int64 { return append([]int64(nil), s...) }
 	return Totals{
-		Requests:           cp(c.cumReq),
-		Faults:             cp(c.cumFaults),
-		Hits:               cp(c.cumHits),
-		Joins:              cp(c.cumJoins),
+		Requests:           req,
+		Faults:             faults,
+		Hits:               hits,
+		Joins:              joins,
 		DonatedEvictions:   cp(c.donated),
 		TakenCells:         cp(c.taken),
 		Occupancy:          cp(c.occ),
 		TauDebt:            td,
-		PartitionChanges:   c.partChanges,
-		VoluntaryEvictions: c.volEvictions,
-		CapacityChanges:    c.capChanges,
-		CapacityEvictions:  c.capEvictions,
+		PartitionChanges:   c.partChanges + c.cur.PartitionChanges,
+		VoluntaryEvictions: c.volEvictions + c.cur.VoluntaryEvictions,
+		CapacityChanges:    c.capChanges + c.cur.CapacityChanges,
+		CapacityEvictions:  c.capEvictions + c.cur.CapacityEvictions,
 		MinCapacity:        c.minK,
 		FinalCapacity:      c.curK,
-		FaultJain:          metrics.JainIndex(c.cumFaults),
+		FaultJain:          metrics.JainIndex(faults),
 		Windows:            c.closed,
 		DroppedWindows:     c.dropped,
 	}

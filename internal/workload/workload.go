@@ -52,8 +52,14 @@ type Spec struct {
 	Pages int `json:"pages"`
 	// Kind selects the generator family.
 	Kind Kind `json:"kind"`
-	// ZipfS and ZipfV parameterise the Zipf distribution (s > 1, v ≥ 1);
-	// zero values default to s=1.2, v=1.
+	// ZipfS and ZipfV parameterise the Zipf distribution: page rank k
+	// is drawn with probability ∝ (v+k)^−s. Zero selects the default
+	// s=1.2, v=1; otherwise s must lie in [ZipfMinS, ZipfMaxS] = [1.0001,
+	// 32] and v in [ZipfMinV, ZipfMaxV] = [1, 65536], and Validate
+	// rejects anything else (NaN and ±Inf included). Inside that box
+	// every draw is < Pages. The ranks are exactly math/rand's Zipf
+	// stream from the spec's seed; the sampler only replaces its per-draw
+	// exp and log with a table lookup.
 	ZipfS float64 `json:"zipf_s,omitempty"`
 	ZipfV float64 `json:"zipf_v,omitempty"`
 	// Phases (Phased only) is the number of phases; zero defaults to 8.
@@ -98,6 +104,15 @@ func (s Spec) Validate() error {
 	if s.SharedFrac < 0 || s.SharedFrac > 1 {
 		return fmt.Errorf("workload: shared fraction %v outside [0,1]", s.SharedFrac)
 	}
+	if s.Kind == Zipf {
+		zs, zv := s.zipfParams()
+		if !(zs >= ZipfMinS && zs <= ZipfMaxS) {
+			return fmt.Errorf("workload: zipf_s = %v outside [%v, %v]", s.ZipfS, ZipfMinS, ZipfMaxS)
+		}
+		if !(zv >= ZipfMinV && zv <= ZipfMaxV) {
+			return fmt.Errorf("workload: zipf_v = %v outside [%v, %v]", s.ZipfV, ZipfMinV, ZipfMaxV)
+		}
+	}
 	switch s.Kind {
 	case Uniform, Zipf, Loop, Phased, Markov:
 	default:
@@ -112,6 +127,13 @@ func Generate(s Spec) (core.RequestSet, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
+	var zipf *zipfSampler
+	if s.Kind == Zipf {
+		// One sampler for every core: its table depends only on the
+		// parameters, and it consumes rng exactly as rand.Zipf would.
+		zs, zv := s.zipfParams()
+		zipf = newZipfSampler(zs, zv, uint64(s.Pages-1), s.Cores*s.Length)
+	}
 	rs := make(core.RequestSet, s.Cores)
 	sharedPages := s.SharedPages
 	if sharedPages == 0 {
@@ -119,7 +141,7 @@ func Generate(s Spec) (core.RequestSet, error) {
 	}
 	for j := 0; j < s.Cores; j++ {
 		base := core.PageID(j * privateStride)
-		local := s.generateCore(rng, j)
+		local := s.generateCore(rng, zipf)
 		if s.SharedFrac > 0 {
 			for i := range local {
 				if rng.Float64() < s.SharedFrac {
@@ -138,8 +160,21 @@ func Generate(s Spec) (core.RequestSet, error) {
 	return rs, nil
 }
 
-// generateCore produces one core's sequence over pages 0..Pages-1.
-func (s Spec) generateCore(rng *rand.Rand, j int) core.Sequence {
+// zipfParams resolves the zero defaults of ZipfS and ZipfV.
+func (s Spec) zipfParams() (zs, zv float64) {
+	zs, zv = s.ZipfS, s.ZipfV
+	if zs == 0 {
+		zs = 1.2
+	}
+	if zv == 0 {
+		zv = 1
+	}
+	return zs, zv
+}
+
+// generateCore produces one core's sequence over pages 0..Pages-1; zipf
+// is the shared sampler of a Zipf spec.
+func (s Spec) generateCore(rng *rand.Rand, zipf *zipfSampler) core.Sequence {
 	seq := make(core.Sequence, s.Length)
 	switch s.Kind {
 	case Uniform:
@@ -147,17 +182,9 @@ func (s Spec) generateCore(rng *rand.Rand, j int) core.Sequence {
 			seq[i] = core.PageID(rng.Intn(s.Pages))
 		}
 	case Zipf:
-		zs, zv := s.ZipfS, s.ZipfV
-		if zs <= 1 {
-			zs = 1.2
-		}
-		if zv < 1 {
-			zv = 1
-		}
-		z := rand.NewZipf(rng, zs, zv, uint64(s.Pages-1))
 		perm := rng.Perm(s.Pages) // decouple popularity rank from page ID
 		for i := range seq {
-			seq[i] = core.PageID(perm[int(z.Uint64())])
+			seq[i] = core.PageID(perm[zipf.next(rng)])
 		}
 	case Loop:
 		off := rng.Intn(s.Pages)

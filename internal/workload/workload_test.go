@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -213,6 +215,42 @@ func TestSpecValidation(t *testing.T) {
 	for i, s := range bad {
 		if _, err := Generate(s); err == nil {
 			t.Errorf("case %d should fail", i)
+		}
+	}
+}
+
+// TestZipfParamValidation pins the Zipf parameter box: non-finite values
+// and values outside it fail with an error naming the field, instead of
+// looping forever, panicking, or being replaced by the default.
+func TestZipfParamValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []struct {
+		s, v  float64
+		field string
+	}{
+		{nan, 0, "zipf_s"}, {inf, 0, "zipf_s"}, {-inf, 0, "zipf_s"},
+		{0, nan, "zipf_v"}, {0, inf, "zipf_v"},
+		{1, 0, "zipf_s"}, {0.5, 0, "zipf_s"}, {-2, 0, "zipf_s"}, {1.00001, 0, "zipf_s"}, {100, 1e6, "zipf_s"},
+		{0, 0.5, "zipf_v"}, {0, -1, "zipf_v"}, {0, 1e300, "zipf_v"}, {0, ZipfMaxV * 2, "zipf_v"},
+	}
+	for _, c := range bad {
+		_, err := Generate(Spec{Cores: 1, Length: 10, Pages: 8, Kind: Zipf, ZipfS: c.s, ZipfV: c.v})
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("s=%v v=%v: error %v, want one naming %s", c.s, c.v, err, c.field)
+		}
+	}
+	for _, sv := range [][2]float64{{0, 0}, {ZipfMinS, ZipfMinV}, {ZipfMaxS, ZipfMaxV}, {1.2, 3.5}} {
+		if _, err := Generate(Spec{Cores: 1, Length: 10, Pages: 8, Kind: Zipf, ZipfS: sv[0], ZipfV: sv[1]}); err != nil {
+			t.Errorf("s=%v v=%v: %v", sv[0], sv[1], err)
+		}
+	}
+	// The box applies to Zipf specs only; other kinds ignore the fields.
+	if _, err := Generate(Spec{Cores: 1, Length: 10, Pages: 8, Kind: Uniform, ZipfS: nan}); err != nil {
+		t.Errorf("uniform spec with an unused zipf_s: %v", err)
+	}
+	for _, spec := range []string{"zipf(s=NaN)", "zipf(s=+Inf)", "zipf(v=NaN)", "zipf(s=1)", "mixed(s=Inf)"} {
+		if _, err := ParseFamily(spec); err == nil {
+			t.Errorf("ParseFamily(%q) unexpectedly succeeded", spec)
 		}
 	}
 }
