@@ -1,10 +1,14 @@
 package cache_test
 
 import (
+	"runtime"
 	"testing"
 
 	"mcpaging/internal/cache"
 	"mcpaging/internal/core"
+	"mcpaging/internal/sim"
+	"mcpaging/internal/strategyspec"
+	"mcpaging/internal/workload"
 )
 
 // The recency-ordered policies back the simulator's hot loop; their
@@ -60,5 +64,40 @@ func TestRecencyListHitPathZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("LRU hit path: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestServedLRUAllocBound pins the footprint of the paged per-page
+// tables on the served cache-miss job: a fresh S(LRU), built the way
+// mcservd builds one per job, runs 4×64K Zipf requests whose 1024 pages
+// per core sit in the namespaces j·65536+x, at K 256 and τ 8, on a warm
+// Runner. The run, strategy construction included, allocates at most
+// 256 KB; one list node per possible page ID would take 3.7 MB.
+func TestServedLRUAllocBound(t *testing.T) {
+	rs, err := workload.Generate(workload.Spec{Kind: workload.Zipf, Cores: 4, Length: 64 << 10, Pages: 1024, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := core.Params{K: 256, Tau: 8}
+	rn, err := sim.NewRunner(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		st, err := strategyspec.Build("S(LRU)", rs, params.K, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rn.Run(params, st, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the Runner's arrays
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
+		t.Fatalf("fresh S(LRU) over the served job allocated %d KB, want ≤ 256 KB", got>>10)
 	}
 }

@@ -25,8 +25,8 @@ import (
 // the scan order does not affect behaviour.
 type FITF struct {
 	pages  []core.PageID
-	pos    []int32               // dense IDs: index+1 into pages; 0 = absent
-	bigPos map[core.PageID]int32 // position index for IDs ≥ denseListCap
+	pos    pageTable[int32]      // dense IDs: index+1 into pages; 0 = absent
+	bigPos map[core.PageID]int32 // position index for IDs outside the table
 	oracle Oracle
 }
 
@@ -42,9 +42,9 @@ func (f *FITF) SetOracle(o Oracle) { f.oracle = o }
 
 // position returns the index+1 of p in pages, or 0 if absent.
 func (f *FITF) position(p core.PageID) int32 {
-	if p >= 0 && p < denseListCap {
-		if int(p) < len(f.pos) {
-			return f.pos[p]
+	if dense(p) {
+		if pos := f.pos.ref(p); pos != nil {
+			return *pos
 		}
 		return 0
 	}
@@ -52,23 +52,8 @@ func (f *FITF) position(p core.PageID) int32 {
 }
 
 func (f *FITF) setPosition(p core.PageID, idx int32) {
-	if p >= 0 && p < denseListCap {
-		if int(p) >= len(f.pos) {
-			n := 2 * len(f.pos)
-			if n <= int(p) {
-				n = int(p) + 1
-			}
-			if n < 16 {
-				n = 16
-			}
-			if n > denseListCap {
-				n = denseListCap
-			}
-			pos := make([]int32, n)
-			copy(pos, f.pos)
-			f.pos = pos
-		}
-		f.pos[p] = idx
+	if dense(p) {
+		*f.pos.slot(p) = idx
 		return
 	}
 	if idx == 0 {

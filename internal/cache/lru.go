@@ -4,28 +4,20 @@ import (
 	"mcpaging/internal/core"
 )
 
-// denseListCap bounds the intrusive array backing the recency-ordered
-// policies: page IDs below it index the node array directly (one array
-// slot per possible ID, allocation-free after warm-up); IDs at or above
-// it are kept in an overflow map. The simulator renumbers sparse inputs
-// before they reach a policy, so the overflow path only triggers for
-// strategies fed raw sparse IDs directly.
-const denseListCap = 1 << 20
-
-// absentNode marks a dense node slot whose page is not in the list.
-// core.NoPage (-1) doubles as the list-end sentinel.
-const absentNode core.PageID = -2
-
-// rnode is one intrusive list node; prev and next hold page IDs.
+// rnode is one intrusive list node; prev and next hold page IDs, with
+// core.NoPage as the list-end sentinel. The zero node marks a page that
+// is not in the list: a listed page's neighbours are distinct pages, or
+// both core.NoPage, so prev == next == 0 never holds for one.
 type rnode struct{ prev, next core.PageID }
 
 // recencyList is the shared machinery of the recency-ordered policies
-// (LRU, MRU, FIFO): an intrusive doubly linked list from least to most
-// recently used/inserted, with nodes indexed by page ID instead of
-// heap-allocated list elements.
+// (LRU, MRU, FIFO, MARK, and ARC's and SLRU's segments): an intrusive
+// doubly linked list from least to most recently used/inserted, with
+// nodes indexed by page ID in a pageTable instead of heap-allocated list
+// elements.
 type recencyList struct {
-	nodes []rnode                // dense nodes, index = page ID
-	big   map[core.PageID]*rnode // overflow nodes for IDs ≥ denseListCap
+	nodes pageTable[rnode]       // dense nodes, index = page ID
+	big   map[core.PageID]*rnode // overflow nodes for IDs outside the table
 	head  core.PageID            // least recent; core.NoPage when empty
 	tail  core.PageID            // most recent; core.NoPage when empty
 	n     int
@@ -39,9 +31,9 @@ func newRecencyList() recencyList {
 //
 //mcpaging:hotpath
 func (r *recencyList) node(p core.PageID) *rnode {
-	if p >= 0 && int(p) < len(r.nodes) {
-		nd := &r.nodes[p]
-		if nd.prev == absentNode {
+	if dense(p) {
+		nd := r.nodes.ref(p)
+		if nd == nil || *nd == (rnode{}) {
 			return nil
 		}
 		return nd
@@ -53,41 +45,18 @@ func (r *recencyList) node(p core.PageID) *rnode {
 //
 //mcpaging:hotpath
 func (r *recencyList) mustNode(p core.PageID) *rnode {
-	if int(p) < len(r.nodes) {
-		return &r.nodes[p]
+	if dense(p) {
+		return r.nodes.at(p)
 	}
 	return r.big[p]
-}
-
-// grow extends the dense node array to cover page p.
-func (r *recencyList) grow(p core.PageID) {
-	n := 2 * len(r.nodes)
-	if n <= int(p) {
-		n = int(p) + 1
-	}
-	if n < 16 {
-		n = 16
-	}
-	if n > denseListCap {
-		n = denseListCap
-	}
-	nodes := make([]rnode, n)
-	copy(nodes, r.nodes)
-	for i := len(r.nodes); i < n; i++ {
-		nodes[i].prev = absentNode
-	}
-	r.nodes = nodes
 }
 
 //mcpaging:hotpath
 func (r *recencyList) insert(p core.PageID) {
 	var nd *rnode
-	if p >= 0 && p < denseListCap {
-		if int(p) >= len(r.nodes) {
-			r.grow(p)
-		}
-		nd = &r.nodes[p]
-		if nd.prev != absentNode {
+	if dense(p) {
+		nd = r.nodes.slot(p)
+		if *nd != (rnode{}) {
 			panic("cache: duplicate insert of page in replacement domain")
 		}
 	} else {
@@ -153,8 +122,8 @@ func (r *recencyList) unlink(p core.PageID, nd *rnode) {
 	} else {
 		r.tail = nd.prev
 	}
-	if int(p) < len(r.nodes) {
-		nd.prev = absentNode
+	if dense(p) {
+		*nd = rnode{}
 	} else {
 		delete(r.big, p)
 	}
@@ -181,8 +150,8 @@ func (r *recencyList) reset() {
 	for p := r.head; p != core.NoPage; {
 		nd := r.mustNode(p)
 		next := nd.next
-		if int(p) < len(r.nodes) {
-			nd.prev = absentNode
+		if dense(p) {
+			*nd = rnode{}
 		}
 		p = next
 	}

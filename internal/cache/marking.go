@@ -17,9 +17,9 @@ import (
 // array-backed list of the LRU family.
 type Marking struct {
 	r         recencyList
-	epoch     []uint64             // dense marks: epoch[p] == cur ⇒ marked
+	epoch     pageTable[uint64]    // dense marks: epoch[p] == cur ⇒ marked
 	cur       uint64               // current phase stamp, starts at 1
-	bigMarked map[core.PageID]bool // marks for IDs ≥ denseListCap
+	bigMarked map[core.PageID]bool // marks for IDs outside the table
 }
 
 // NewMarking returns an empty marking policy.
@@ -31,30 +31,16 @@ func NewMarking() *Marking {
 func (m *Marking) Name() string { return "MARK" }
 
 func (m *Marking) marked(p core.PageID) bool {
-	if p >= 0 && p < denseListCap {
-		return int(p) < len(m.epoch) && m.epoch[p] == m.cur
+	if dense(p) {
+		e := m.epoch.ref(p)
+		return e != nil && *e == m.cur
 	}
 	return m.bigMarked[p]
 }
 
 func (m *Marking) mark(p core.PageID) {
-	if p >= 0 && p < denseListCap {
-		if int(p) >= len(m.epoch) {
-			n := 2 * len(m.epoch)
-			if n <= int(p) {
-				n = int(p) + 1
-			}
-			if n < 16 {
-				n = 16
-			}
-			if n > denseListCap {
-				n = denseListCap
-			}
-			epoch := make([]uint64, n)
-			copy(epoch, m.epoch)
-			m.epoch = epoch
-		}
-		m.epoch[p] = m.cur
+	if dense(p) {
+		*m.epoch.slot(p) = m.cur
 		return
 	}
 	if m.bigMarked == nil {

@@ -204,26 +204,44 @@ func TestFleetSweepCacheAffinity(t *testing.T) {
 // ring includes a dead member: every cell must still complete exactly
 // once, in canonical order, via ring successors.
 func TestFleetFailoverOnDeadWorker(t *testing.T) {
-	dead := httptest.NewServer(http.NotFoundHandler())
-	deadURL := dead.URL
-	dead.Close() // connection refused from the first dial
-
-	urls := []string{newWorker(t, "w1").URL, newWorker(t, "w2").URL, deadURL}
-	f := newTestFleet(t, urls, DispatcherConfig{}, GatewayConfig{QuotaRate: -1})
-
 	req := fleetSweepRequest()
-	resp := postJSON(t, f.ts.URL+"/v1/sweep", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep status %d", resp.StatusCode)
-	}
-	body := readBody(t, resp)
-
 	rs, err := req.Trace.Resolve(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	grid := sweep.Grid{R: rs, Ks: req.Ks, Taus: req.Taus, Specs: req.Strategies, Seed: req.Seed}
 	cells := grid.Cells()
+
+	live := []string{newWorker(t, "w1").URL, newWorker(t, "w2").URL}
+	// The dead worker must own a cell on the ring, or no route ever
+	// tries it: bind candidate listeners until one's URL does. Every
+	// candidate stays bound until the gateway is listening too, so no
+	// live listener of the test can be handed a dead port (two workers
+	// on one URL are rejected as duplicates); closing them then refuses
+	// the first dial.
+	var deadURL string
+	var bound []*httptest.Server
+	for deadURL == "" {
+		dead := httptest.NewServer(http.NotFoundHandler())
+		bound = append(bound, dead)
+		ring := NewRing(64, append([]string{dead.URL}, live...))
+		for _, c := range cells {
+			if ring.Lookup(server.JobKey(rs, c.Spec, core.Params{K: c.K, Tau: c.Tau}, req.Seed)) == dead.URL {
+				deadURL = dead.URL
+				break
+			}
+		}
+	}
+	f := newTestFleet(t, append(live, deadURL), DispatcherConfig{}, GatewayConfig{QuotaRate: -1})
+	for _, dead := range bound {
+		dead.Close()
+	}
+
+	resp := postJSON(t, f.ts.URL+"/v1/sweep", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep status %d", resp.StatusCode)
+	}
+	body := readBody(t, resp)
 
 	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
 	if len(lines) != len(cells) {

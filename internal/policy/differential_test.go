@@ -61,7 +61,7 @@ func (q *refParts) touch(p core.PageID, at cache.Access) {
 }
 
 func (q *refParts) shed(v sim.View) []core.PageID {
-	q.vf.use(v)
+	q.vf.bind(v)
 	var out []core.PageID
 	for j := range q.occ {
 		for q.occ[j] > q.quota[j] {
@@ -78,7 +78,7 @@ func (q *refParts) shed(v sim.View) []core.PageID {
 }
 
 func (q *refParts) fault(j int, p core.PageID, at cache.Access, v sim.View) core.PageID {
-	q.vf.use(v)
+	q.vf.bind(v)
 	var victim core.PageID = core.NoPage
 	switch {
 	case q.occ[j] < q.quota[j] && v.Free() > 0:
@@ -152,7 +152,7 @@ func (s *refStatic) OnJoin(p core.PageID, at cache.Access) {
 
 func (s *refStatic) OnFault(p core.PageID, at cache.Access, v sim.View) core.PageID {
 	j := at.Core
-	s.vf.use(v)
+	s.vf.bind(v)
 	var victim core.PageID = core.NoPage
 	if s.occ[j] < s.sizes[j] {
 		s.occ[j]++
@@ -192,7 +192,7 @@ func (d *refDynamicLRU) OnJoin(p core.PageID, at cache.Access) { d.global.Touch(
 
 func (d *refDynamicLRU) OnFault(p core.PageID, at cache.Access, v sim.View) core.PageID {
 	j := at.Core
-	d.vf.use(v)
+	d.vf.bind(v)
 	var victim core.PageID = core.NoPage
 	if v.Free() == 0 {
 		w, ok := d.global.Evict(d.vf.resident)

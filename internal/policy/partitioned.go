@@ -26,6 +26,7 @@ type Partitioned struct {
 	name string
 
 	parts  []cache.Policy
+	ies    []cache.IncomingEvictor // per part: its incoming-aware path, if any
 	partOf map[core.PageID]int
 	occ    []int
 	quota  []int // aliases ctrl.Quota(); nil = occupancy-driven
@@ -70,8 +71,10 @@ func (s *Partitioned) Init(inst core.Instance) error {
 	p := inst.R.NumCores()
 	if len(s.parts) != p {
 		s.parts = make([]cache.Policy, p)
+		s.ies = make([]cache.IncomingEvictor, p)
 		for j := range s.parts {
 			s.parts[j] = s.mk()
+			s.ies[j] = incomingEvictor(s.parts[j])
 		}
 	} else {
 		for j := range s.parts {
@@ -158,7 +161,7 @@ func (s *Partitioned) OnJoin(p core.PageID, at cache.Access) {
 //mcpaging:hotpath
 func (s *Partitioned) OnFault(p core.PageID, at cache.Access, v sim.View) core.PageID {
 	j := at.Core
-	if s.vf.use(v) {
+	if s.vf.bind(v) {
 		for _, part := range s.parts {
 			bindOracle(part, v)
 		}
@@ -173,7 +176,7 @@ func (s *Partitioned) OnFault(p core.PageID, at cache.Access, v sim.View) core.P
 		}
 		var w core.PageID
 		if d == j {
-			w, ok = evictFor(s.parts[j], p, s.vf.resident)
+			w, ok = evictFor(s.parts[j], s.ies[j], p, s.vf.resident)
 		} else {
 			w, ok = s.parts[d].Evict(s.vf.resident)
 		}
@@ -234,7 +237,7 @@ func (s *Partitioned) OnTick(t int64, v sim.View) []core.PageID {
 		if over <= 0 {
 			continue
 		}
-		if s.vf.use(v) {
+		if s.vf.bind(v) {
 			for _, part := range s.parts {
 				bindOracle(part, v)
 			}
@@ -277,7 +280,7 @@ func (s *Partitioned) OnCapacity(k int, t int64) {
 // part whose pages are all in flight is skipped; ok=false when every
 // part refuses, and the engine retries at the next service step.
 func (s *Partitioned) SurrenderOne(v sim.View) (core.PageID, bool) {
-	if s.vf.use(v) {
+	if s.vf.bind(v) {
 		for _, part := range s.parts {
 			bindOracle(part, v)
 		}

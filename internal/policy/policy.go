@@ -39,36 +39,43 @@ func residentOnly(v sim.View) func(core.PageID) bool {
 	return func(p core.PageID) bool { return v.Resident(p) }
 }
 
-// viewFuncs caches the per-view adapters of a strategy — the
-// evictability predicate and whether oracles have been bound — so the
-// fault path does not allocate a closure (and box an oracle adapter) on
-// every fault. The simulator passes the same View for the whole run, so
-// the cache rebuilds exactly once per run.
+// viewFuncs holds the per-run view adapters of a strategy — the
+// evictability predicate over the simulator's View — so the fault path
+// neither allocates a closure (nor boxes an oracle adapter) per fault
+// nor compares views per fault. The simulator passes the same View for
+// the whole run, so the adapters bind once, on the first callback of a
+// run that carries the view.
 //
 // Strategies must call reset() in Init: a reused strategy may otherwise
 // hold a predicate over the previous run's view.
 type viewFuncs struct {
-	v        sim.View
-	resident func(core.PageID) bool
+	resident func(core.PageID) bool // nil until bound
 }
 
-func (c *viewFuncs) reset() { c.v, c.resident = nil, nil }
+func (c *viewFuncs) reset() { c.resident = nil }
 
-// use updates the cache for view v and reports whether v is new (the
-// first fault of a run), in which case the caller should rebind oracles.
-func (c *viewFuncs) use(v sim.View) bool {
-	if c.v == v {
+// bind binds the adapters to v on the first call of a run and reports
+// whether it did, in which case the caller should bind oracles too.
+func (c *viewFuncs) bind(v sim.View) bool {
+	if c.resident != nil {
 		return false
 	}
-	c.v = v
 	c.resident = residentOnly(v)
 	return true
 }
 
-// evictFor asks the policy for a victim, preferring the incoming-aware
-// path (ARC's ghost-directed REPLACE) when the policy offers one.
-func evictFor(p cache.Policy, incoming core.PageID, evictable func(core.PageID) bool) (core.PageID, bool) {
-	if ie, ok := p.(cache.IncomingEvictor); ok {
+// incomingEvictor resolves the incoming-aware eviction path (ARC's
+// ghost-directed REPLACE) of a policy once, when the policy is built;
+// nil when the policy has none.
+func incomingEvictor(p cache.Policy) cache.IncomingEvictor {
+	ie, _ := p.(cache.IncomingEvictor)
+	return ie
+}
+
+// evictFor asks the policy for a victim, through ie — the policy's
+// incomingEvictor — when it has one.
+func evictFor(p cache.Policy, ie cache.IncomingEvictor, incoming core.PageID, evictable func(core.PageID) bool) (core.PageID, bool) {
+	if ie != nil {
 		return ie.EvictFor(incoming, evictable)
 	}
 	return p.Evict(evictable)
@@ -78,6 +85,7 @@ func evictFor(p cache.Policy, incoming core.PageID, evictable func(core.PageID) 
 // S_A strategy for eviction policy A.
 type Shared struct {
 	pol  cache.Policy
+	ie   cache.IncomingEvictor // pol's incoming-aware path, if any
 	mk   cache.Factory
 	vf   viewFuncs
 	name string
@@ -86,7 +94,7 @@ type Shared struct {
 // NewShared returns the shared strategy S_A for the policy built by mk.
 func NewShared(mk cache.Factory) *Shared {
 	p := mk()
-	return &Shared{pol: p, mk: mk, name: "S(" + p.Name() + ")"}
+	return &Shared{pol: p, ie: incomingEvictor(p), mk: mk, name: "S(" + p.Name() + ")"}
 }
 
 // Name implements sim.Strategy.
@@ -99,6 +107,7 @@ func (s *Shared) Name() string { return s.name }
 func (s *Shared) Init(inst core.Instance) error {
 	if s.pol == nil {
 		s.pol = s.mk()
+		s.ie = incomingEvictor(s.pol)
 	} else {
 		s.pol.Reset()
 	}
@@ -122,12 +131,12 @@ func (s *Shared) RemoveMetadata(p core.PageID) { s.pol.Remove(p) }
 
 // OnFault implements sim.Strategy.
 func (s *Shared) OnFault(p core.PageID, at cache.Access, v sim.View) core.PageID {
-	if s.vf.use(v) {
+	if s.vf.bind(v) {
 		bindOracle(s.pol, v)
 	}
 	var victim core.PageID = core.NoPage
 	if v.Free() == 0 {
-		w, ok := evictFor(s.pol, p, s.vf.resident)
+		w, ok := evictFor(s.pol, s.ie, p, s.vf.resident)
 		if !ok {
 			// No resident page to evict; the simulator will report the
 			// protocol violation. Cannot happen when K ≥ p.
@@ -148,7 +157,7 @@ func (s *Shared) OnCapacity(k int, _ int64) { s.pol.Resize(k) }
 // every resident page is in flight; the engine retries at the next
 // service step.
 func (s *Shared) SurrenderOne(v sim.View) (core.PageID, bool) {
-	if s.vf.use(v) {
+	if s.vf.bind(v) {
 		bindOracle(s.pol, v)
 	}
 	return s.pol.Surrender(s.vf.resident)

@@ -2,10 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
 	"testing"
 
 	"mcpaging/internal/core"
+	"mcpaging/internal/sim"
+	"mcpaging/internal/strategyspec"
+	"mcpaging/internal/telemetry"
 	"mcpaging/internal/trace"
 	"mcpaging/internal/workload"
 )
@@ -52,4 +56,47 @@ func BenchmarkResolveBinary(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rs.TotalLen()), "ns/req")
+}
+
+// BenchmarkServedRun is the engine step of a served cache-miss job, as
+// execute runs it: a fresh S(LRU) from strategyspec.Build per job, one
+// warm Runner bound to the 4×64K Zipf instance, K 256, τ 8. The nil
+// case runs without an observer; the collector case attaches a
+// telemetry Collector the way every served job does.
+func BenchmarkServedRun(b *testing.B) {
+	rs := benchInstance(b)
+	p := core.Params{K: 256, Tau: 8}
+	rn, err := sim.NewRunner(rs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, collect := range []bool{false, true} {
+		name := "nil"
+		if collect {
+			name = "collector"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st, err := strategyspec.Build("S(LRU)", rs, p.K, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var col *telemetry.Collector
+				var obs sim.Observer
+				if collect {
+					col = telemetry.New(telemetry.Config{Cores: rs.NumCores(), Params: p})
+					obs = col.Observe
+				}
+				res, err := rn.RunContext(context.Background(), p, st, obs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if col != nil {
+					col.Finish(res)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rs.TotalLen()), "ns/req")
+		})
+	}
 }

@@ -61,12 +61,82 @@ func randomInstance(rng *rand.Rand, i int) core.Instance {
 	return core.Instance{R: rs, P: core.Params{K: k, Tau: tau}}
 }
 
+// heapInstance generates instance i of the heap-order corpus: core
+// counts p, fetch delays τ, cores that are empty or much shorter than
+// their neighbours (so cores leave the service heap at different
+// times), shared page pools (joins on in-flight pages) in odd
+// instances, and sparse IDs in every fourth.
+func heapInstance(rng *rand.Rand, i, p, tau int) core.Instance {
+	shared := i%2 == 1
+	sparse := i%4 == 2
+	pages := 2 + rng.Intn(12)
+	rs := make(core.RequestSet, p)
+	for c := range rs {
+		n := 0
+		switch rng.Intn(4) {
+		case 0: // empty core
+		case 1:
+			n = 1 + rng.Intn(8)
+		default:
+			n = 40 + rng.Intn(200)
+		}
+		if c == p-1 && rs.TotalLen() == 0 {
+			n = 1 + rng.Intn(40) // at least one request
+		}
+		seq := make(core.Sequence, n)
+		for j := range seq {
+			id := core.PageID(rng.Intn(pages))
+			if !shared {
+				id += core.PageID(c * pages)
+			}
+			if sparse {
+				id = 50000000 + id*1000003
+			}
+			seq[j] = id
+		}
+		rs[c] = seq
+	}
+	return core.Instance{R: rs, P: core.Params{K: p + rng.Intn(2*p+4), Tau: tau}}
+}
+
+// checkDenseMatchesReference runs one strategy on in through the dense
+// engine (sim.Run) and the map-based reference engine
+// (sim.RunReference) and requires identical results and identical event
+// streams — whole events, VictimCore included. It returns the stream.
+func checkDenseMatchesReference(t *testing.T, label string, in core.Instance, mk func() sim.Strategy) []sim.Event {
+	t.Helper()
+	var gotEv, wantEv []sim.Event
+	got, err := sim.Run(in, mk(), func(e sim.Event) { gotEv = append(gotEv, e) })
+	if err != nil {
+		t.Fatalf("%s: dense: %v", label, err)
+	}
+	want, err := sim.RunReference(in, mk(), func(e sim.Event) { wantEv = append(wantEv, e) })
+	if err != nil {
+		t.Fatalf("%s: reference: %v", label, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: results differ:\ndense     %+v\nreference %+v", label, got, want)
+	}
+	if len(gotEv) != len(wantEv) {
+		t.Fatalf("%s: %d events vs %d in reference", label, len(gotEv), len(wantEv))
+	}
+	for j := range gotEv {
+		if gotEv[j] != wantEv[j] {
+			t.Fatalf("%s: event %d differs:\ndense     %+v\nreference %+v",
+				label, j, gotEv[j], wantEv[j])
+		}
+	}
+	return gotEv
+}
+
 // TestDenseMatchesReference replays randomized instances through both the
 // dense-ID engine (sim.Run) and the retained map-based reference engine
 // (sim.RunReference) and requires identical results and identical event
-// streams — same times, cores, pages, fault/join flags, and victims, in
-// the same order. This is the event-for-event proof that renumbering and
-// the flat ground-truth tables are invisible to strategies and observers.
+// streams — same times, cores, pages, fault/join flags, victims and
+// victims' holders, in the same order. This is the event-for-event proof
+// that renumbering, the flat ground-truth tables and the heap-ordered
+// service are invisible to strategies and observers: the reference
+// finds each step's cores by scanning all of them.
 func TestDenseMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 100; i++ {
@@ -74,29 +144,47 @@ func TestDenseMatchesReference(t *testing.T) {
 		p := in.R.NumCores()
 		for si, mk := range diffStrategies(in.P.K, p) {
 			label := fmt.Sprintf("inst=%d strat=%d (p=%d K=%d tau=%d)", i, si, p, in.P.K, in.P.Tau)
+			checkDenseMatchesReference(t, label, in, mk)
+		}
+	}
 
-			var gotEv, wantEv []sim.Event
-			got, err := sim.Run(in, mk(), func(e sim.Event) { gotEv = append(gotEv, e) })
-			if err != nil {
-				t.Fatalf("%s: dense: %v", label, err)
-			}
-			want, err := sim.RunReference(in, mk(), func(e sim.Event) { wantEv = append(wantEv, e) })
-			if err != nil {
-				t.Fatalf("%s: reference: %v", label, err)
-			}
-
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: results differ:\ndense     %+v\nreference %+v", label, got, want)
-			}
-			if len(gotEv) != len(wantEv) {
-				t.Fatalf("%s: %d events vs %d in reference", label, len(gotEv), len(wantEv))
-			}
-			for j := range gotEv {
-				if gotEv[j] != wantEv[j] {
-					t.Fatalf("%s: event %d differs:\ndense     %+v\nreference %+v",
-						label, j, gotEv[j], wantEv[j])
+	// The heap-order corpus, with Ticker strategies (FWF's flushes and
+	// FairShare's donor ticks) on top of the differential set. The
+	// features it exists for must actually occur.
+	seen := map[string]int{}
+	for _, p := range []int{1, 3, 5, 9, 17} {
+		for _, tau := range []int{0, 1, 8} {
+			for i := 0; i < 8; i++ {
+				in := heapInstance(rng, i, p, tau)
+				strats := append(diffStrategies(in.P.K, p),
+					func() sim.Strategy { return policy.NewFWF() },
+					func() sim.Strategy { return policy.NewFairShare(8) })
+				for si, mk := range strats {
+					label := fmt.Sprintf("heap inst=%d strat=%d (p=%d K=%d tau=%d)", i, si, p, in.P.K, tau)
+					for _, e := range checkDenseMatchesReference(t, label, in, mk) {
+						switch {
+						case e.Join:
+							seen["joins"]++
+						case e.Tick && e.Donor:
+							seen["donor ticks"]++
+						case e.Tick:
+							seen["flush ticks"]++
+						case e.Victim != core.NoPage && e.VictimCore != e.Core:
+							seen["cross-core victims"]++
+						}
+					}
+				}
+				for _, seq := range in.R {
+					if len(seq) == 0 {
+						seen["empty cores"]++
+					}
 				}
 			}
+		}
+	}
+	for _, f := range []string{"joins", "donor ticks", "flush ticks", "cross-core victims", "empty cores"} {
+		if seen[f] == 0 {
+			t.Errorf("the heap-order corpus produced no %s", f)
 		}
 	}
 }

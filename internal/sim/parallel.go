@@ -575,7 +575,7 @@ func (r *Runner) commitEpoch(ctx context.Context, s Strategy, obs Observer, res 
 					}
 					s.OnHit(op, cache.Access{Core: c, Time: t + int64(j), Index: i})
 					if obs != nil {
-						obs(Event{Time: t + int64(j), Core: c, Index: i, Page: op, Victim: core.NoPage})
+						obs(Event{Time: t + int64(j), Core: c, Index: i, Page: op, Victim: core.NoPage, VictimCore: -1})
 					}
 				}
 				res.Hits[c] += k
@@ -644,7 +644,7 @@ func (r *Runner) commitEpoch(ctx context.Context, s Strategy, obs Observer, res 
 						}
 						s.OnHit(op, cache.Access{Core: c, Time: tj, Index: i})
 						if obs != nil {
-							obs(Event{Time: tj, Core: c, Index: i, Page: op, Victim: core.NoPage})
+							obs(Event{Time: tj, Core: c, Index: i, Page: op, Victim: core.NoPage, VictimCore: -1})
 						}
 					}
 				}
@@ -716,7 +716,7 @@ func (r *Runner) commitEpoch(ctx context.Context, s Strategy, obs Observer, res 
 					res.Finish[c] = e.next[c]
 				}
 				if obs != nil {
-					obs(Event{Time: t, Core: c, Index: i, Page: op, Victim: core.NoPage})
+					obs(Event{Time: t, Core: c, Index: i, Page: op, Victim: core.NoPage, VictimCore: -1})
 				}
 				continue
 			}
@@ -733,17 +733,21 @@ func (r *Runner) commitEpoch(ctx context.Context, s Strategy, obs Observer, res 
 			e.idx[c] = i + 1
 			e.next[c] = t + e.tau + 1
 			victim := s.OnFault(op, cache.Access{Core: c, Time: t, Index: i}, e)
+			victimCore := -1
 			if victim == core.NoPage {
 				if e.used >= e.k {
 					return false, fmt.Errorf("sim: strategy %s requested a free cell but cache is full (t=%d core=%d page=%d)", s.Name(), t, c, op)
 				}
 			} else {
-				if err := e.evictOriginal(victim, t); err != nil {
+				holder, err := e.evictOriginal(victim, t)
+				if err != nil {
 					return false, fmt.Errorf("sim: strategy %s: %w", s.Name(), err)
 				}
+				victimCore = holder
 				r.cutSpeculation(victim)
 			}
 			e.readyAt[pg] = t + e.tau + 1
+			e.fetchedBy[pg] = int32(c)
 			e.used++
 			ps.segHead[c] = int32(h + 1)
 			ps.segPos[c] = 0
@@ -751,11 +755,7 @@ func (r *Runner) commitEpoch(ctx context.Context, s Strategy, obs Observer, res 
 				res.Finish[c] = e.next[c]
 			}
 			if obs != nil {
-				ev := Event{Time: t, Core: c, Index: i, Page: op, Fault: true, Victim: core.NoPage}
-				if victim != core.NoPage {
-					ev.Victim = victim
-				}
-				obs(ev)
+				obs(Event{Time: t, Core: c, Index: i, Page: op, Fault: true, Victim: victim, VictimCore: victimCore})
 			}
 		}
 	}
@@ -872,7 +872,7 @@ func (r *Runner) microStep(s Strategy, obs Observer, res *Result, served *int64)
 			op = e.inv[pg]
 		}
 		at := cache.Access{Core: c, Time: t, Index: i}
-		ev := Event{Time: t, Core: c, Index: i, Page: op, Victim: core.NoPage}
+		ev := Event{Time: t, Core: c, Index: i, Page: op, Victim: core.NoPage, VictimCore: -1}
 		ready := e.readyAt[pg]
 		switch {
 		case ready != notCached && ready <= t: // hit
@@ -897,13 +897,15 @@ func (r *Runner) microStep(s Strategy, obs Observer, res *Result, served *int64)
 					return fmt.Errorf("sim: strategy %s requested a free cell but cache is full (t=%d core=%d page=%d)", s.Name(), t, c, op)
 				}
 			} else {
-				if err := e.evictOriginal(victim, t); err != nil {
+				holder, err := e.evictOriginal(victim, t)
+				if err != nil {
 					return fmt.Errorf("sim: strategy %s: %w", s.Name(), err)
 				}
-				ev.Victim = victim
+				ev.Victim, ev.VictimCore = victim, holder
 				r.cutSpeculation(victim)
 			}
 			e.readyAt[pg] = t + e.tau + 1
+			e.fetchedBy[pg] = int32(c)
 			e.used++
 		}
 		if e.idx[c] == len(e.seqs[c]) {

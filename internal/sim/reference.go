@@ -31,6 +31,7 @@ func RunReference(inst core.Instance, s Strategy, obs Observer) (Result, error) 
 		next:    make([]int64, p),
 		idx:     make([]int, p),
 		readyAt: make(map[core.PageID]int64),
+		holder:  make(map[core.PageID]int),
 		occ:     make(map[core.PageID]*refOccInfo),
 	}
 	for c, seq := range inst.R {
@@ -77,12 +78,13 @@ func RunReference(inst core.Instance, s Strategy, obs Observer) (Result, error) 
 
 		if ticker != nil {
 			for _, v := range ticker.OnTick(t, e) {
-				if err := e.evict(v, t); err != nil {
+				holder, err := e.evict(v, t)
+				if err != nil {
 					return res, fmt.Errorf("sim: strategy %s voluntary eviction: %w", s.Name(), err)
 				}
 				res.VoluntaryEvictions++
 				if obs != nil {
-					obs(Event{Time: t, Core: -1, Index: -1, Page: v, Tick: true, Donor: repart, Victim: v})
+					obs(Event{Time: t, Core: -1, Index: -1, Page: v, Tick: true, Donor: repart, Victim: v, VictimCore: holder})
 				}
 			}
 		}
@@ -93,7 +95,7 @@ func RunReference(inst core.Instance, s Strategy, obs Observer) (Result, error) 
 			}
 			pg := inst.R[c][e.idx[c]]
 			at := cache.Access{Core: c, Time: t, Index: e.idx[c]}
-			ev := Event{Time: t, Core: c, Index: e.idx[c], Page: pg, Victim: core.NoPage}
+			ev := Event{Time: t, Core: c, Index: e.idx[c], Page: pg, Victim: core.NoPage, VictimCore: -1}
 
 			switch {
 			case e.Resident(pg):
@@ -120,12 +122,14 @@ func RunReference(inst core.Instance, s Strategy, obs Observer) (Result, error) 
 						return res, fmt.Errorf("sim: strategy %s requested a free cell but cache is full (t=%d core=%d page=%d)", s.Name(), t, c, pg)
 					}
 				} else {
-					if err := e.evict(victim, t); err != nil {
+					holder, err := e.evict(victim, t)
+					if err != nil {
 						return res, fmt.Errorf("sim: strategy %s: %w", s.Name(), err)
 					}
-					ev.Victim = victim
+					ev.Victim, ev.VictimCore = victim, holder
 				}
 				e.readyAt[pg] = t + e.tau + 1
+				e.holder[pg] = c
 				e.used++
 			}
 			if e.idx[c] == len(inst.R[c]) {
@@ -154,6 +158,7 @@ type refEngine struct {
 	idx  []int   // per-core next request index
 
 	readyAt map[core.PageID]int64 // cached pages: time the fetch completes (≤ current time ⇒ resident)
+	holder  map[core.PageID]int   // cached pages: the core whose fault fetched the page
 	used    int
 
 	now int64
@@ -222,16 +227,18 @@ func (e *refEngine) NextUse(p core.PageID) int64 {
 }
 
 // evict removes a resident page from ground truth, validating the
-// paper's eviction rules.
-func (e *refEngine) evict(v core.PageID, t int64) error {
+// paper's eviction rules, and returns the core whose fault fetched it.
+func (e *refEngine) evict(v core.PageID, t int64) (int, error) {
 	r, ok := e.readyAt[v]
 	if !ok {
-		return fmt.Errorf("evict of non-cached page %d at t=%d", v, t)
+		return -1, fmt.Errorf("evict of non-cached page %d at t=%d", v, t)
 	}
 	if r > t {
-		return fmt.Errorf("evict of in-flight page %d at t=%d (ready at %d)", v, t, r)
+		return -1, fmt.Errorf("evict of in-flight page %d at t=%d (ready at %d)", v, t, r)
 	}
+	holder := e.holder[v]
 	delete(e.readyAt, v)
+	delete(e.holder, v)
 	e.used--
-	return nil
+	return holder, nil
 }

@@ -31,8 +31,10 @@
 // # Implementation: the dense-ID fast path
 //
 // The engine keeps all ground truth in flat arrays indexed by page ID:
-// residency is a single []int64 of fetch-completion times and the FITF
-// oracle reads a flat occurrence table built in one pass over the input.
+// residency is a single []int64 of fetch-completion times, next to it a
+// []int32 of the core whose fault fetched each cached page (the
+// victim's holder an Event reports as VictimCore), and the FITF oracle
+// reads a flat occurrence table built in one pass over the input.
 // Inputs whose page IDs are already dense (bounded by a small multiple of
 // the total request count — every generated workload and every renumbered
 // trace) are used as-is. Sparser inputs are transparently renumbered on
@@ -41,6 +43,17 @@
 // original page IDs and behave identically either way. RunReference
 // retains the original map-based engine as an executable specification
 // for differential tests.
+//
+// # Implementation: heap-ordered service
+//
+// The sequential serve loop keeps the unfinished cores in a binary
+// min-heap keyed by (next[c], c), whose pop order is the canonical one:
+// increasing time, then increasing core index. Each distinct service
+// time runs the capacity hook, Ticker.OnTick and the cancellation poll
+// once, before its first request; then the root is served while its
+// clock equals that time, sinking (or leaving the heap when its
+// sequence is done) after each request. RunReference keeps the per-step
+// scans over all cores and is the independent oracle for this order.
 package sim
 
 import (
@@ -155,6 +168,13 @@ type View interface {
 // requests can filter on !Tick (or, equivalently for historical
 // observers, on Fault/Join, which ticks never set).
 //
+// VictimCore is the victim's holder: the core whose fault fetched
+// Victim into the cache. It is set on every event that evicts a page
+// (faults with a victim, Tick events and capacity-pressure evictions)
+// and is -1 on every other event. Observers that attribute cells to
+// cores read it instead of tracking page ownership themselves. It is
+// not part of the event JSONL stream.
+//
 // Elastic-capacity runs add two event shapes, both with Core = -1 and
 // Index = -1. A capacity announcement (Capacity set, Tick clear)
 // carries the new capacity in K and no pages. A capacity-pressure
@@ -175,6 +195,8 @@ type Event struct {
 	Capacity bool        // capacity announcement or capacity-pressure eviction
 	K        int         // new capacity (announcements only)
 	Victim   core.PageID // NoPage if none (hit, join, or free cell)
+	// VictimCore is the core whose fault fetched Victim; -1 if no victim.
+	VictimCore int
 }
 
 // Observer receives every service event in order. Passing a nil observer
@@ -271,7 +293,12 @@ type engine struct {
 	next []int64         // per-core clock
 	idx  []int           // per-core next request index
 
-	readyAt []int64 // per dense page: fetch completion time, notCached if absent
+	readyAt   []int64 // per dense page: fetch completion time, notCached if absent
+	fetchedBy []int32 // per cached dense page: the core whose fault fetched it
+
+	// heap holds the unfinished cores of a sequential run as a binary
+	// min-heap keyed by (next[c], c); see siftDown.
+	heap []int32
 
 	fwd map[core.PageID]core.PageID // original → dense (nil when direct)
 	inv []core.PageID               // dense → original (nil when direct)
@@ -407,23 +434,53 @@ func (e *engine) NextUse(p core.PageID) int64 {
 }
 
 // evictOriginal removes a resident page (named by its original ID) from
-// ground truth, validating the paper's eviction rules.
+// ground truth, validating the paper's eviction rules, and returns the
+// core whose fault had fetched it.
 //
 //mcpaging:hotpath
-func (e *engine) evictOriginal(v core.PageID, t int64) error {
+func (e *engine) evictOriginal(v core.PageID, t int64) (int, error) {
 	dv, ok := e.denseID(v)
 	if ok && e.readyAt[dv] == notCached {
 		ok = false
 	}
 	if !ok {
-		return fmt.Errorf("evict of non-cached page %d at t=%d", v, t)
+		return -1, fmt.Errorf("evict of non-cached page %d at t=%d", v, t)
 	}
 	if r := e.readyAt[dv]; r > t {
-		return fmt.Errorf("evict of in-flight page %d at t=%d (ready at %d)", v, t, r)
+		return -1, fmt.Errorf("evict of in-flight page %d at t=%d (ready at %d)", v, t, r)
 	}
 	e.readyAt[dv] = notCached
 	e.used--
-	return nil
+	return int(e.fetchedBy[dv]), nil
+}
+
+// siftDown restores the heap order of h after the root's key grew.
+//
+//mcpaging:hotpath
+func (e *engine) siftDown(h []int32) {
+	next := e.next
+	n := len(h)
+	i, c := 0, h[0]
+	nc := next[c]
+	for {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		cm := h[m]
+		nm := next[cm]
+		if r := m + 1; r < n {
+			if cr, nr := h[r], next[h[r]]; nr < nm || (nr == nm && cr < cm) {
+				m, cm, nm = r, cr, nr
+			}
+		}
+		if nc < nm || (nc == nm && c < cm) {
+			break
+		}
+		h[i] = cm
+		i = m
+	}
+	h[i] = c
 }
 
 // reset prepares the engine for one run with the given parameters. All
@@ -540,6 +597,8 @@ func (r *Runner) bind(rs core.RequestSet) error {
 	e.next = growSlice(e.next, p)
 	e.idx = growSlice(e.idx, p)
 	e.readyAt = growSlice(e.readyAt, e.w)
+	e.fetchedBy = growSlice(e.fetchedBy, e.w)
+	e.heap = growSlice(e.heap, p)
 	e.occBuilt = false
 	e.occN = n
 	e.ownerState = ownerUnknown
@@ -703,25 +762,29 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 	seqs := e.seqs
 	var served, nextCheck int64 = 0, cancelCheckEvery
 
-	for {
+	// Every clock starts at 0, so the unfinished cores in index order
+	// already form a heap.
+	h := e.heap[:p]
+	n := 0
+	for c := 0; c < p; c++ {
+		if len(seqs[c]) > 0 {
+			h[n] = int32(c)
+			n++
+		}
+	}
+	h = h[:n]
+
+	for len(h) > 0 {
+		// A new step: the root holds the next service time.
+		t := e.next[h[0]]
 		// Cooperative cancellation: one poll per cancelCheckEvery served
-		// requests (each outer iteration serves at least one request, so
-		// the gap between polls is bounded).
+		// requests (each step serves at least one request, so the gap
+		// between polls is bounded).
 		if served >= nextCheck {
 			nextCheck = served + cancelCheckEvery
 			if err := ctx.Err(); err != nil {
 				return res, fmt.Errorf("sim: strategy %s run aborted after %d requests: %w", s.Name(), served, err)
 			}
-		}
-		// Next service time: min clock over unfinished cores.
-		t := int64(math.MaxInt64)
-		for c := 0; c < p; c++ {
-			if e.idx[c] < len(seqs[c]) && e.next[c] < t {
-				t = e.next[c]
-			}
-		}
-		if t == int64(math.MaxInt64) {
-			break
 		}
 		e.now = t
 
@@ -733,20 +796,21 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 
 		if ticker != nil {
 			for _, v := range ticker.OnTick(t, e) {
-				if err := e.evictOriginal(v, t); err != nil {
+				holder, err := e.evictOriginal(v, t)
+				if err != nil {
 					return res, fmt.Errorf("sim: strategy %s voluntary eviction: %w", s.Name(), err)
 				}
 				res.VoluntaryEvictions++
 				if obs != nil {
-					obs(Event{Time: t, Core: -1, Index: -1, Page: v, Tick: true, Donor: repart, Victim: v})
+					obs(Event{Time: t, Core: -1, Index: -1, Page: v, Tick: true, Donor: repart, Victim: v, VictimCore: holder})
 				}
 			}
 		}
 
-		for c := 0; c < p; c++ {
-			if e.idx[c] >= len(seqs[c]) || e.next[c] != t {
-				continue
-			}
+		// Serve the step: the root while it is due at t, which pops the
+		// due cores in increasing index order.
+		for len(h) > 0 && e.next[h[0]] == t {
+			c := int(h[0])
 			i := e.idx[c]
 			served++
 			pg := seqs[c][i]
@@ -755,7 +819,10 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 				op = e.inv[pg]
 			}
 			at := cache.Access{Core: c, Time: t, Index: i}
-			ev := Event{Time: t, Core: c, Index: i, Page: op, Victim: core.NoPage}
+			// Built before the strategy call rather than at the observer
+			// call: the field stores then retire before the event is
+			// copied out, instead of stalling that copy.
+			ev := Event{Time: t, Core: c, Index: i, Page: op, Victim: core.NoPage, VictimCore: -1}
 
 			ready := e.readyAt[pg]
 			switch {
@@ -783,16 +850,26 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 						return res, fmt.Errorf("sim: strategy %s requested a free cell but cache is full (t=%d core=%d page=%d)", s.Name(), t, c, op)
 					}
 				} else {
-					if err := e.evictOriginal(victim, t); err != nil {
+					holder, err := e.evictOriginal(victim, t)
+					if err != nil {
 						return res, fmt.Errorf("sim: strategy %s: %w", s.Name(), err)
 					}
-					ev.Victim = victim
+					ev.Victim, ev.VictimCore = victim, holder
 				}
 				e.readyAt[pg] = t + e.tau + 1
+				e.fetchedBy[pg] = int32(c)
 				e.used++
 			}
+			// The served core's clock moved past t: it leaves the heap
+			// when its sequence is done, and sinks otherwise.
 			if e.idx[c] == len(seqs[c]) {
 				res.Finish[c] = e.next[c]
+				last := len(h) - 1
+				h[0] = h[last]
+				h = h[:last]
+			}
+			if len(h) > 1 {
+				e.siftDown(h)
 			}
 			if obs != nil {
 				obs(ev)
@@ -827,7 +904,7 @@ func (r *Runner) applyCapacity(t int64, s Strategy, obs Observer, res *Result, c
 			e.k = k
 			r.ca.OnCapacity(k, t)
 			if obs != nil {
-				obs(Event{Time: t, Core: -1, Index: -1, Page: core.NoPage, Victim: core.NoPage, Capacity: true, K: k})
+				obs(Event{Time: t, Core: -1, Index: -1, Page: core.NoPage, Victim: core.NoPage, VictimCore: -1, Capacity: true, K: k})
 			}
 		}
 		e.nextChange = e.sched.NextChange(t)
@@ -837,7 +914,8 @@ func (r *Runner) applyCapacity(t int64, s Strategy, obs Observer, res *Result, c
 		if !ok {
 			break
 		}
-		if err := e.evictOriginal(v, t); err != nil {
+		holder, err := e.evictOriginal(v, t)
+		if err != nil {
 			return fmt.Errorf("sim: strategy %s capacity shed: %w", s.Name(), err)
 		}
 		res.CapacityEvictions++
@@ -845,7 +923,7 @@ func (r *Runner) applyCapacity(t int64, s Strategy, obs Observer, res *Result, c
 			r.cutSpeculation(v)
 		}
 		if obs != nil {
-			obs(Event{Time: t, Core: -1, Index: -1, Page: v, Victim: v, Tick: true, Capacity: true})
+			obs(Event{Time: t, Core: -1, Index: -1, Page: v, Victim: v, VictimCore: holder, Tick: true, Capacity: true})
 		}
 	}
 	return nil

@@ -19,7 +19,7 @@ func TestObserveHitPathZeroAllocs(t *testing.T) {
 		// window rotation (which legitimately allocates per window).
 		Window: 1 << 40,
 	})
-	ev := sim.Event{Time: 0, Core: 1, Index: 0, Page: 3, Victim: core.NoPage}
+	ev := sim.Event{Time: 0, Core: 1, Index: 0, Page: 3, Victim: core.NoPage, VictimCore: -1}
 	c.Observe(ev)
 	allocs := testing.AllocsPerRun(1000, func() {
 		ev.Time++
@@ -31,9 +31,8 @@ func TestObserveHitPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// The fault path — victim removed from the page-holder table, faulting
-// page inserted — must be allocation-free too once the table is warm:
-// New sizes the table for K cached cells plus one in flight per core.
+// The fault path — the victim's cell moved off its holder's share,
+// the faulting core's share grown — must be allocation-free too.
 func TestObserveFaultPathZeroAllocs(t *testing.T) {
 	const k, cores = 64, 4
 	c := telemetry.New(telemetry.Config{
@@ -45,9 +44,9 @@ func TestObserveFaultPathZeroAllocs(t *testing.T) {
 	page := func(i int) core.PageID { return core.PageID((i%cores)<<16 + i/cores) }
 	i := 0
 	fault := func() {
-		ev := sim.Event{Time: int64(i), Core: i % cores, Index: i / cores, Page: page(i), Fault: true, Victim: core.NoPage}
+		ev := sim.Event{Time: int64(i), Core: i % cores, Index: i / cores, Page: page(i), Fault: true, Victim: core.NoPage, VictimCore: -1}
 		if i >= k {
-			ev.Victim = page(i - k)
+			ev.Victim, ev.VictimCore = page(i-k), (i-k)%cores
 		}
 		c.Observe(ev)
 		i++

@@ -73,7 +73,7 @@ func TestSessionAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.Observer()(sim.Event{Time: 0, Core: 0, Page: 1, Fault: true, Victim: core.NoPage})
+	sess.Observer()(sim.Event{Time: 0, Core: 0, Page: 1, Fault: true, Victim: core.NoPage, VictimCore: -1})
 	if err := sess.Abort(); err != nil {
 		t.Fatal(err)
 	}

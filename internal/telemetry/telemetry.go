@@ -7,11 +7,12 @@
 // The package is strictly a consumer of sim.Event values: attaching a
 // Collector costs one closure call per event, and not attaching one
 // costs nothing — the simulator's nil-observer fast path is untouched.
-// Memory is bounded by O(cores × retained windows + K): the collector
-// keeps per-core accumulators for the window being filled, a ring of at
+// Memory is bounded by O(cores × retained windows): the collector keeps
+// per-core accumulators for the window being filled and a ring of at
 // most MaxWindows closed windows — older windows are dropped (and
-// counted) rather than growing without bound — and one page → core
-// entry per cached cell.
+// counted) rather than growing without bound. It keeps no per-page
+// state: the simulator reports each evicted page's holder (the core
+// whose fault fetched it) as sim.Event.VictimCore.
 //
 // Timeline semantics: simulation time is split into fixed-width windows
 // [i·W, (i+1)·W). A window closes when the first event at or past its
@@ -35,10 +36,6 @@ const DefaultWindow int64 = 1024
 // DefaultMaxWindows is the closed-window ring capacity used when
 // Config.MaxWindows is zero.
 const DefaultMaxWindows = 1 << 16
-
-// maxPresize caps the residency New sizes the page-holder table for; a
-// larger cache grows the table as it fills.
-const maxPresize = 1 << 16
 
 // Config parameterises a Collector.
 type Config struct {
@@ -157,8 +154,7 @@ type Collector struct {
 	curJain  []int64
 	anyEvent bool
 
-	holder holderTable // cached page → core whose fetch brought it in
-	occ    []int64     // per-core cells attributed
+	occ []int64 // per-core cells attributed
 
 	// Observe counts into the open window only; closeCur folds each
 	// closed window into these run totals, and Totals adds the open one.
@@ -198,7 +194,6 @@ func New(cfg Config) *Collector {
 		window:  w,
 		maxWin:  mw,
 		curJain: make([]int64, p),
-		holder:  newHolderTable(min(cfg.Params.K, maxPresize) + p),
 		occ:     make([]int64, p),
 		cum:     make([]CoreWindow, p),
 		donated: make([]int64, p),
@@ -282,7 +277,7 @@ func (c *Collector) Observe(e sim.Event) {
 			// Capacity-pressure eviction: the engine shed e.Page to fit a
 			// shrunken K(t). The holder loses the cell but no core takes
 			// it, so the partition counters stay untouched.
-			if h, ok := c.holder.remove(e.Page); ok {
+			if h := e.VictimCore; c.known(h) {
 				c.occ[h]--
 			}
 			c.cur.CapacityEvictions++
@@ -302,7 +297,7 @@ func (c *Collector) Observe(e sim.Event) {
 		// additionally a partition change: the holder donated the cell,
 		// though the recipient is unknown until a later fault grows into
 		// it, so TakenCells stays untouched here.
-		if h, ok := c.holder.remove(e.Page); ok {
+		if h := e.VictimCore; c.known(h) {
 			c.occ[h]--
 			if e.Donor {
 				c.donated[h]++
@@ -326,20 +321,23 @@ func (c *Collector) Observe(e sim.Event) {
 		cw.Joins++
 	default:
 		cw.Faults++
-		if e.Victim != core.NoPage {
-			if h, ok := c.holder.remove(e.Victim); ok {
-				c.occ[h]--
-				if int(h) != e.Core {
-					c.donated[h]++
-					c.taken[e.Core]++
-					c.cur.PartitionChanges++
-				}
+		if h := e.VictimCore; c.known(h) {
+			c.occ[h]--
+			if h != e.Core {
+				c.donated[h]++
+				c.taken[e.Core]++
+				c.cur.PartitionChanges++
 			}
 		}
-		c.holder.put(e.Page, int32(e.Core))
 		c.occ[e.Core]++
 	}
 }
+
+// known reports whether h names one of the run's cores; a VictimCore of
+// -1 (no victim) is not.
+//
+//mcpaging:hotpath
+func (c *Collector) known(h int) bool { return uint(h) < uint(c.cores) }
 
 // Finish flushes the tail of the run: every window through the one
 // containing the result's makespan is closed, so the exported series

@@ -19,12 +19,12 @@ import (
 //	t=12 core 0 faults on page 2 (free cell)      — second window
 //	t=25 tick: page 5 voluntarily evicted          — third window
 func feed(c *Collector) {
-	c.Observe(sim.Event{Time: 0, Core: 0, Index: 0, Page: 1, Fault: true, Victim: core.NoPage})
-	c.Observe(sim.Event{Time: 0, Core: 1, Index: 0, Page: 5, Fault: true, Victim: core.NoPage})
-	c.Observe(sim.Event{Time: 3, Core: 0, Index: 1, Page: 1, Victim: core.NoPage})
-	c.Observe(sim.Event{Time: 4, Core: 1, Index: 1, Page: 6, Fault: true, Victim: 1})
-	c.Observe(sim.Event{Time: 12, Core: 0, Index: 2, Page: 2, Fault: true, Victim: core.NoPage})
-	c.Observe(sim.Event{Time: 25, Core: -1, Index: -1, Page: 5, Tick: true, Victim: 5})
+	c.Observe(sim.Event{Time: 0, Core: 0, Index: 0, Page: 1, Fault: true, Victim: core.NoPage, VictimCore: -1})
+	c.Observe(sim.Event{Time: 0, Core: 1, Index: 0, Page: 5, Fault: true, Victim: core.NoPage, VictimCore: -1})
+	c.Observe(sim.Event{Time: 3, Core: 0, Index: 1, Page: 1, Victim: core.NoPage, VictimCore: -1})
+	c.Observe(sim.Event{Time: 4, Core: 1, Index: 1, Page: 6, Fault: true, Victim: 1, VictimCore: 0})
+	c.Observe(sim.Event{Time: 12, Core: 0, Index: 2, Page: 2, Fault: true, Victim: core.NoPage, VictimCore: -1})
+	c.Observe(sim.Event{Time: 25, Core: -1, Index: -1, Page: 5, Tick: true, Victim: 5, VictimCore: 1})
 }
 
 func testConfig() Config {
@@ -125,8 +125,8 @@ func TestCollectorTotals(t *testing.T) {
 func TestCollectorObserver(t *testing.T) {
 	c := New(testConfig())
 	obs := c.Observer()
-	obs(sim.Event{Time: 0, Core: 0, Index: 0, Page: 1, Fault: true, Victim: core.NoPage})
-	obs(sim.Event{Time: 1, Core: 1, Index: 0, Page: 2, Fault: true, Victim: core.NoPage})
+	obs(sim.Event{Time: 0, Core: 0, Index: 0, Page: 1, Fault: true, Victim: core.NoPage, VictimCore: -1})
+	obs(sim.Event{Time: 1, Core: 1, Index: 0, Page: 2, Fault: true, Victim: core.NoPage, VictimCore: -1})
 	res := sim.Result{Faults: []int64{1, 1}, Finish: []int64{3, 4}, Makespan: 5}
 	c.Finish(res)
 	if got := c.Result(); got.Makespan != res.Makespan || got.Finish[1] != 4 {
@@ -192,10 +192,10 @@ func TestDonorTicks(t *testing.T) {
 	cfg := testConfig()
 	cfg.Events = &buf
 	c := New(cfg)
-	c.Observe(sim.Event{Time: 0, Core: 0, Index: 0, Page: 1, Fault: true, Victim: core.NoPage})
-	c.Observe(sim.Event{Time: 1, Core: 1, Index: 0, Page: 2, Fault: true, Victim: core.NoPage})
-	c.Observe(sim.Event{Time: 2, Core: -1, Index: -1, Page: 1, Tick: true, Donor: true, Victim: 1})
-	c.Observe(sim.Event{Time: 3, Core: -1, Index: -1, Page: 2, Tick: true, Victim: 2})
+	c.Observe(sim.Event{Time: 0, Core: 0, Index: 0, Page: 1, Fault: true, Victim: core.NoPage, VictimCore: -1})
+	c.Observe(sim.Event{Time: 1, Core: 1, Index: 0, Page: 2, Fault: true, Victim: core.NoPage, VictimCore: -1})
+	c.Observe(sim.Event{Time: 2, Core: -1, Index: -1, Page: 1, Tick: true, Donor: true, Victim: 1, VictimCore: 0})
+	c.Observe(sim.Event{Time: 3, Core: -1, Index: -1, Page: 2, Tick: true, Victim: 2, VictimCore: 1})
 	c.Finish(sim.Result{Makespan: 4})
 	tot := c.Totals()
 	if tot.VoluntaryEvictions != 2 {
