@@ -31,6 +31,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"mcpaging/internal/specargs"
 )
 
 // NoChange is the NextChange result meaning "capacity never changes
@@ -176,40 +178,13 @@ type scheduleDef struct {
 	// parsing process (files). ParsePortableSchedule rejects them, so a
 	// spec arriving over the network can never name a host path.
 	local bool
-	build func(p schedParams, base int) (*Schedule, error)
-}
-
-// schedParams holds the parsed key=value pairs of a spec.
-type schedParams map[string]string
-
-func (p schedParams) intOr(key string, def int64) (int64, error) {
-	raw, ok := p[key]
-	if !ok {
-		return def, nil
-	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %s=%q is not an integer", key, raw)
-	}
-	return v, nil
-}
-
-func (p schedParams) floatOr(key string, def float64) (float64, error) {
-	raw, ok := p[key]
-	if !ok {
-		return def, nil
-	}
-	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %s=%q is not a number", key, raw)
-	}
-	return v, nil
+	build func(p specargs.Params, base int) (*Schedule, error)
 }
 
 // capOr parses a capacity value: an absolute page count ("12") or a
 // percentage of the base capacity ("75%", integer percent, rounded to
 // nearest page). def < 0 means the key is required.
-func (p schedParams) capOr(key string, base int, def int) (int, error) {
+func capOr(p specargs.Params, key string, base int, def int) (int, error) {
 	raw, ok := p[key]
 	if !ok {
 		if def < 0 {
@@ -243,8 +218,8 @@ var schedules = []scheduleDef{
 	{
 		name: "fixed", desc: "constant capacity (the classic fixed-K model)",
 		keys: []string{"k"},
-		build: func(p schedParams, base int) (*Schedule, error) {
-			k, err := p.capOr("k", base, base)
+		build: func(p specargs.Params, base int) (*Schedule, error) {
+			k, err := capOr(p, "k", base, base)
 			if err != nil {
 				return nil, err
 			}
@@ -257,15 +232,15 @@ var schedules = []scheduleDef{
 	{
 		name: "step", desc: "one change: base K until `at`, then `to`",
 		keys: []string{"to", "at"},
-		build: func(p schedParams, base int) (*Schedule, error) {
-			to, err := p.capOr("to", base, -1)
+		build: func(p specargs.Params, base int) (*Schedule, error) {
+			to, err := capOr(p, "to", base, -1)
 			if err != nil {
 				return nil, err
 			}
 			if _, ok := p["at"]; !ok {
 				return nil, fmt.Errorf("parameter at is required")
 			}
-			at, err := p.intOr("at", -1)
+			at, err := p.Int64("at", -1)
 			if err != nil {
 				return nil, err
 			}
@@ -282,16 +257,16 @@ var schedules = []scheduleDef{
 	{
 		name: "ramp", desc: "linear drift from base K to `to` over [start,end], quantized every `every` steps",
 		keys: []string{"to", "start", "end", "every"},
-		build: func(p schedParams, base int) (*Schedule, error) {
-			to, err := p.capOr("to", base, -1)
+		build: func(p specargs.Params, base int) (*Schedule, error) {
+			to, err := capOr(p, "to", base, -1)
 			if err != nil {
 				return nil, err
 			}
-			start, err := p.intOr("start", 0)
+			start, err := p.Int64("start", 0)
 			if err != nil {
 				return nil, err
 			}
-			end, err := p.intOr("end", -1)
+			end, err := p.Int64("end", -1)
 			if err != nil {
 				return nil, err
 			}
@@ -299,7 +274,7 @@ var schedules = []scheduleDef{
 				return nil, fmt.Errorf("ramp needs 0 <= start < end <= 2^62, got start=%d end=%d", start, end)
 			}
 			span := end - start
-			every, err := p.intOr("every", span/8)
+			every, err := p.Int64("every", span/8)
 			if err != nil {
 				return nil, err
 			}
@@ -334,19 +309,19 @@ var schedules = []scheduleDef{
 	{
 		name: "periodic", desc: "square wave between base K and `lo`: K for duty×period steps, then lo",
 		keys: []string{"lo", "period", "duty", "phase"},
-		build: func(p schedParams, base int) (*Schedule, error) {
-			lo, err := p.capOr("lo", base, -1)
+		build: func(p specargs.Params, base int) (*Schedule, error) {
+			lo, err := capOr(p, "lo", base, -1)
 			if err != nil {
 				return nil, err
 			}
-			period, err := p.intOr("period", -1)
+			period, err := p.Int64("period", -1)
 			if err != nil {
 				return nil, err
 			}
 			if period < 2 || period > 1<<62 {
 				return nil, fmt.Errorf("periodic needs 2 <= period <= 2^62, got %d", period)
 			}
-			duty, err := p.floatOr("duty", 0.5)
+			duty, err := p.Float("duty", 0.5)
 			if err != nil {
 				return nil, err
 			}
@@ -360,7 +335,7 @@ var schedules = []scheduleDef{
 			if onLen > period-1 {
 				onLen = period - 1
 			}
-			phase, err := p.intOr("phase", 0)
+			phase, err := p.Int64("phase", 0)
 			if err != nil {
 				return nil, err
 			}
@@ -384,7 +359,7 @@ var schedules = []scheduleDef{
 	{
 		name: "trace", desc: "breakpoints from a file: one `t k` pair per line, t ascending from 0",
 		keys: []string{"path"}, local: true,
-		build: func(p schedParams, base int) (*Schedule, error) {
+		build: func(p specargs.Params, base int) (*Schedule, error) {
 			path, ok := p["path"]
 			if !ok || path == "" {
 				return nil, fmt.Errorf("trace needs path=...")
@@ -472,7 +447,7 @@ func readTrace(f *os.File, base int) ([]breakpoint, error) {
 			return nil, fmt.Errorf("line %d: time out of order", line)
 		}
 		lastT = t
-		k, err := schedParams{"k": fields[1]}.capOr("k", base, -1)
+		k, err := capOr(specargs.Params{"k": fields[1]}, "k", base, -1)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: bad capacity (want pages or N%%, >= 1, <= %d)", line, maxK)
 		}
@@ -572,13 +547,9 @@ func parse(spec string, base int, portableOnly bool) (*Schedule, error) {
 	if spec == "" {
 		return nil, fmt.Errorf("capacity: empty spec")
 	}
-	open := strings.Index(spec, "(")
-	name, arglist := spec, ""
-	if open >= 0 {
-		if !strings.HasSuffix(spec, ")") {
-			return nil, fmt.Errorf("capacity: bad spec %q (want name(key=val,...))", spec)
-		}
-		name, arglist = spec[:open], spec[open+1:len(spec)-1]
+	name, arglist, ok := specargs.Split(spec)
+	if !ok {
+		return nil, fmt.Errorf("capacity: bad spec %q (want name(key=val,...))", spec)
 	}
 	def := scheduleByName(name)
 	if def == nil {
@@ -589,37 +560,9 @@ func parse(spec string, base int, portableOnly bool) (*Schedule, error) {
 		return nil, fmt.Errorf("capacity: %s schedules read files local to the server and are not accepted here (portable families: %s)",
 			name, strings.Join(portableNames(), ", "))
 	}
-	par := schedParams{}
-	var keys []string // spec order, so unknown-key errors are stable
-	if strings.TrimSpace(arglist) != "" {
-		for _, kv := range strings.Split(arglist, ",") {
-			key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-			if !ok || key == "" {
-				return nil, fmt.Errorf("capacity: %s: bad parameter %q (want key=val)", name, kv)
-			}
-			if _, dup := par[key]; dup {
-				return nil, fmt.Errorf("capacity: %s: duplicate parameter %q", name, key)
-			}
-			par[key] = val
-			keys = append(keys, key)
-		}
-	}
-	var unknown []string
-	for _, key := range keys {
-		found := false
-		for _, k := range def.keys {
-			if k == key {
-				found = true
-				break
-			}
-		}
-		if !found {
-			unknown = append(unknown, key)
-		}
-	}
-	if len(unknown) > 0 {
-		return nil, fmt.Errorf("capacity: %s does not accept %s (valid: %s)",
-			name, strings.Join(unknown, ", "), strings.Join(def.keys, ", "))
+	par, err := specargs.Parse("capacity: "+name, arglist, def.keys)
+	if err != nil {
+		return nil, err
 	}
 	if err := validCaps(base, base); err != nil {
 		return nil, fmt.Errorf("capacity: %v", err)

@@ -27,17 +27,29 @@ func elasticStrategies(k, p int) []func() sim.Strategy {
 	}
 }
 
-// telemetryJSON runs the instance under the given parallelism with a
-// telemetry collector attached and returns the run result, the captured
-// event stream, and the collector's JSON-marshalled windows + totals.
-func telemetryJSON(t *testing.T, label string, in core.Instance, mk func() sim.Strategy, workers int) (sim.Result, []sim.Event, []byte) {
+// runFunc is one engine entry point: sim.Run or sim.RunReference.
+type runFunc func(core.Instance, sim.Strategy, sim.Observer) (sim.Result, error)
+
+// engines lists the two engines, for tests that replay each.
+var engines = []struct {
+	name string
+	run  runFunc
+}{
+	{"dense", sim.Run},
+	{"reference", sim.RunReference},
+}
+
+// telemetryJSON runs the instance through run with a telemetry
+// collector attached and returns the run result, the captured event
+// stream, and the collector's JSON-marshalled windows + totals.
+func telemetryJSON(t *testing.T, label string, run runFunc, in core.Instance, mk func() sim.Strategy) (sim.Result, []sim.Event, []byte) {
 	t.Helper()
 	col := telemetry.New(telemetry.Config{Cores: in.R.NumCores(), Params: in.P})
 	var evs []sim.Event
-	res, err := sim.RunParallel(in, mk(), func(e sim.Event) {
+	res, err := run(in, mk(), func(e sim.Event) {
 		evs = append(evs, e)
 		col.Observe(e)
-	}, workers)
+	})
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -58,9 +70,9 @@ func telemetryJSON(t *testing.T, label string, in core.Instance, mk func() sim.S
 // TestConstantScheduleMatchesFixedK pins the refactor's zero-cost
 // contract: attaching a *constant* capacity schedule must be byte-
 // identical to the fixed-K model — same Result, same event stream, and
-// same serialized telemetry — on both the sequential and speculative
-// engines. The engine nils constant schedules at reset, so this guards
-// the equivalence structurally, not statistically.
+// same serialized telemetry — on both the dense engine and the
+// reference. The engine nils constant schedules at reset, so this
+// guards the equivalence structurally, not statistically.
 func TestConstantScheduleMatchesFixedK(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 40; i++ {
@@ -72,10 +84,10 @@ func TestConstantScheduleMatchesFixedK(t *testing.T) {
 		elastic := in
 		elastic.P.Capacity = sched
 		for si, mk := range elasticStrategies(in.P.K, in.R.NumCores()) {
-			for _, workers := range []int{0, 3} {
-				label := fmt.Sprintf("inst=%d strat=%d workers=%d", i, si, workers)
-				wantRes, wantEv, wantTel := telemetryJSON(t, label+" fixed", in, mk, workers)
-				gotRes, gotEv, gotTel := telemetryJSON(t, label+" constant", elastic, mk, workers)
+			for _, eng := range engines {
+				label := fmt.Sprintf("inst=%d strat=%d %s", i, si, eng.name)
+				wantRes, wantEv, wantTel := telemetryJSON(t, label+" fixed", eng.run, in, mk)
+				gotRes, gotEv, gotTel := telemetryJSON(t, label+" constant", eng.run, elastic, mk)
 				if !reflect.DeepEqual(gotRes, wantRes) {
 					t.Fatalf("%s: results differ:\nconstant %+v\nfixed    %+v", label, gotRes, wantRes)
 				}
@@ -119,14 +131,15 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// TestElasticSeqMatchesParallel replays randomized instances under
+// TestElasticMatchesReference replays randomized instances under
 // non-constant schedules — shrink steps, grow steps, periodic storms,
-// and ramps — through the sequential and speculative engines and
-// requires identical results and identical event streams, capacity
-// announcements and pressure evictions included. Speculation fences at
-// schedule boundaries, so the canonical timeline must be engine-
-// invariant.
-func TestElasticSeqMatchesParallel(t *testing.T) {
+// and ramps — through the dense engine (sim.Run) and the map-based
+// reference (sim.RunReference), and requires identical results,
+// identical event streams (capacity announcements and pressure
+// evictions included) and identical telemetry bytes. The reference
+// re-reads K(t) at every service step instead of caching the next
+// boundary, so this also checks the engine's boundary caching.
+func TestElasticMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for i := 0; i < 40; i++ {
 		in := randomInstance(rng, i)
@@ -139,17 +152,17 @@ func TestElasticSeqMatchesParallel(t *testing.T) {
 			}
 			for mi, mk := range elasticStrategies(in.P.K, p) {
 				label := fmt.Sprintf("inst=%d sched=%s strat=%d", i, sched, mi)
-				wantRes, wantEv, wantTel := telemetryJSON(t, label+" seq", elastic, mk, 0)
-				gotRes, gotEv, gotTel := telemetryJSON(t, label+" par", elastic, mk, 3)
+				gotRes, gotEv, gotTel := telemetryJSON(t, label+" dense", sim.Run, elastic, mk)
+				wantRes, wantEv, wantTel := telemetryJSON(t, label+" reference", sim.RunReference, elastic, mk)
 				if !reflect.DeepEqual(gotRes, wantRes) {
-					t.Fatalf("%s: results differ:\nparallel   %+v\nsequential %+v", label, gotRes, wantRes)
+					t.Fatalf("%s: results differ:\ndense     %+v\nreference %+v", label, gotRes, wantRes)
 				}
 				if len(gotEv) != len(wantEv) {
-					t.Fatalf("%s: %d events vs %d sequential", label, len(gotEv), len(wantEv))
+					t.Fatalf("%s: %d events vs %d in reference", label, len(gotEv), len(wantEv))
 				}
 				for j := range gotEv {
 					if gotEv[j] != wantEv[j] {
-						t.Fatalf("%s: event %d differs:\nparallel   %+v\nsequential %+v",
+						t.Fatalf("%s: event %d differs:\ndense     %+v\nreference %+v",
 							label, j, gotEv[j], wantEv[j])
 					}
 				}
@@ -234,8 +247,24 @@ func TestElasticRejectsUnawareStrategy(t *testing.T) {
 		t.Fatal(err)
 	}
 	in.P.Capacity = sched
-	if _, err := sim.Run(in, policy.NewFWF(), nil); err == nil {
-		t.Fatal("non-CapacityAware strategy accepted under a non-constant schedule")
+	checkBothReject(t, "non-CapacityAware strategy under a non-constant schedule", in,
+		func() sim.Strategy { return policy.NewFWF() })
+}
+
+// checkBothReject requires sim.Run and sim.RunReference to reject the
+// instance, with the same error and the same partial result.
+func checkBothReject(t *testing.T, what string, in core.Instance, mk func() sim.Strategy) {
+	t.Helper()
+	gotRes, gotErr := sim.Run(in, mk(), nil)
+	wantRes, wantErr := sim.RunReference(in, mk(), nil)
+	if gotErr == nil || wantErr == nil {
+		t.Fatalf("%s accepted: dense error %v, reference error %v", what, gotErr, wantErr)
+	}
+	if gotErr.Error() != wantErr.Error() {
+		t.Fatalf("%s: errors differ:\ndense     %v\nreference %v", what, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(gotRes, wantRes) {
+		t.Fatalf("%s: partial results differ:\ndense     %+v\nreference %+v", what, gotRes, wantRes)
 	}
 }
 
@@ -250,9 +279,8 @@ func TestElasticRejectsBelowActiveCores(t *testing.T) {
 		t.Fatal(err)
 	}
 	in.P.Capacity = sched
-	if _, err := sim.Run(in, policy.NewShared(lru()), nil); err == nil {
-		t.Fatal("schedule reaching K(t) < active cores accepted")
-	}
+	checkBothReject(t, "schedule reaching K(t) < active cores", in,
+		func() sim.Strategy { return policy.NewShared(lru()) })
 }
 
 // TestElasticRunAllocBound extends the hot-path allocation budget to
@@ -315,32 +343,29 @@ func BenchmarkSimElastic(b *testing.B) {
 		{"storm", "periodic(lo=50%,period=8192,duty=0.5)"},
 	}
 	for _, sc := range schedules {
-		for _, w := range []int{0, 4} {
-			b.Run(sc.name+"/"+workersName(w), func(b *testing.B) {
-				params := core.Params{K: k, Tau: 8}
-				if sc.spec != "" {
-					sched, err := capacity.ParseSchedule(sc.spec, k)
-					if err != nil {
-						b.Fatal(err)
-					}
-					params.Capacity = sched
-				}
-				rn, err := sim.NewRunner(rs)
+		b.Run(sc.name+"/seq", func(b *testing.B) {
+			params := core.Params{K: k, Tau: 8}
+			if sc.spec != "" {
+				sched, err := capacity.ParseSchedule(sc.spec, k)
 				if err != nil {
 					b.Fatal(err)
 				}
-				rn.SetParallel(w)
-				s := policy.NewShared(lru())
-				n := float64(rs.TotalLen())
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := rn.Run(params, s, nil); err != nil {
-						b.Fatal(err)
-					}
+				params.Capacity = sched
+			}
+			rn, err := sim.NewRunner(rs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := policy.NewShared(lru())
+			n := float64(rs.TotalLen())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := rn.Run(params, s, nil); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(n*float64(b.N)/b.Elapsed().Seconds(), "req/s")
-			})
-		}
+			}
+			b.ReportMetric(n*float64(b.N)/b.Elapsed().Seconds(), "req/s")
+		})
 	}
 }

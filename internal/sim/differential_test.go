@@ -247,3 +247,39 @@ func TestRunnerRebindParams(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDenseMatchesReference is the property half of the differential
+// suite: for any generator seed and any schedule choice — none, or one
+// of the elasticSchedules — the dense engine must reproduce the
+// reference engine's result and event stream exactly. Elastic draws add
+// the CapacityAware strategy set to the differential one.
+func FuzzDenseMatchesReference(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 17, 42, 1 << 40} {
+		f.Add(seed, uint8(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, sched uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		in := randomInstance(rng, int(uint64(seed)%6))
+		p := in.R.NumCores()
+		strats := diffStrategies(in.P.K, p)
+		scheds := elasticSchedules(t, in.P.K, p)
+		if i := int(sched) % (len(scheds) + 1); i > 0 {
+			in.P.Capacity = scheds[i-1]
+			strats = append(strats, elasticStrategies(in.P.K, p)...)
+		}
+		for si, mk := range strats {
+			var gotEv, wantEv []sim.Event
+			got, gotErr := sim.Run(in, mk(), func(e sim.Event) { gotEv = append(gotEv, e) })
+			want, wantErr := sim.RunReference(in, mk(), func(e sim.Event) { wantEv = append(wantEv, e) })
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("seed=%d sched=%d strat=%d: errors differ: dense %v, reference %v", seed, sched, si, gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed=%d sched=%d strat=%d: %+v vs %+v", seed, sched, si, got, want)
+			}
+			if !reflect.DeepEqual(gotEv, wantEv) {
+				t.Fatalf("seed=%d sched=%d strat=%d: event streams differ", seed, sched, si)
+			}
+		}
+	})
+}

@@ -14,9 +14,17 @@ import (
 // renumbering and no state reuse.
 //
 // It exists as an executable specification: the dense-ID fast path of Run
-// is checked against it event for event by TestDenseMatchesReference, and
-// it is deliberately kept simple rather than fast. Use Run everywhere
-// else.
+// is checked against it event for event by TestDenseMatchesReference and,
+// under elastic capacity K(t), by TestElasticMatchesReference. It is
+// deliberately kept simple rather than fast. Use Run everywhere else.
+//
+// Elastic capacity is modelled independently of Run's: instead of
+// caching the schedule's next boundary, every service step compares
+// Capacity.At(t) with the capacity in force, announces a difference
+// through CapacityAware.OnCapacity, and sheds SurrenderOne victims while
+// more cells are used than K(t) allows. A shed blocked on in-flight
+// pages is retried at every later step. Constant schedules are the
+// fixed-K model.
 func RunReference(inst core.Instance, s Strategy, obs Observer) (Result, error) {
 	if err := inst.Validate(); err != nil {
 		return Result{}, err
@@ -25,6 +33,30 @@ func RunReference(inst core.Instance, s Strategy, obs Observer) (Result, error) 
 		return Result{}, fmt.Errorf("sim: strategy %s init: %w", s.Name(), err)
 	}
 	p := inst.R.NumCores()
+	res := Result{
+		Faults: make([]int64, p),
+		Hits:   make([]int64, p),
+		Finish: make([]int64, p),
+	}
+	sched := inst.P.Capacity
+	if sched != nil && sched.Constant() {
+		sched = nil
+	}
+	ca, _ := s.(CapacityAware)
+	if sched != nil {
+		if ca == nil {
+			return res, fmt.Errorf("sim: strategy %s does not support time-varying capacity (schedule %s)", s.Name(), sched)
+		}
+		active := 0
+		for _, seq := range inst.R {
+			if len(seq) > 0 {
+				active++
+			}
+		}
+		if sched.Min() < active {
+			return res, fmt.Errorf("sim: capacity schedule %s reaches %d cells, below %d active cores", sched, sched.Min(), active)
+		}
+	}
 	e := &refEngine{
 		k:       inst.P.K,
 		tau:     int64(inst.P.Tau),
@@ -55,11 +87,6 @@ func RunReference(inst core.Instance, s Strategy, obs Observer) (Result, error) 
 		}
 	}
 
-	res := Result{
-		Faults: make([]int64, p),
-		Hits:   make([]int64, p),
-		Finish: make([]int64, p),
-	}
 	ticker, _ := s.(Ticker)
 	_, repart := s.(Repartitioner)
 
@@ -75,6 +102,30 @@ func RunReference(inst core.Instance, s Strategy, obs Observer) (Result, error) 
 			break
 		}
 		e.now = t
+
+		if sched != nil {
+			if k := sched.At(t); k != e.k {
+				e.k = k
+				ca.OnCapacity(k, t)
+				if obs != nil {
+					obs(Event{Time: t, Core: -1, Index: -1, Page: core.NoPage, Victim: core.NoPage, VictimCore: -1, Capacity: true, K: k})
+				}
+			}
+			for e.used > e.k {
+				v, ok := ca.SurrenderOne(e)
+				if !ok {
+					break
+				}
+				holder, err := e.evict(v, t)
+				if err != nil {
+					return res, fmt.Errorf("sim: strategy %s capacity shed: %w", s.Name(), err)
+				}
+				res.CapacityEvictions++
+				if obs != nil {
+					obs(Event{Time: t, Core: -1, Index: -1, Page: v, Victim: v, VictimCore: holder, Tick: true, Capacity: true})
+				}
+			}
+		}
 
 		if ticker != nil {
 			for _, v := range ticker.OnTick(t, e) {
@@ -151,7 +202,7 @@ func RunReference(inst core.Instance, s Strategy, obs Observer) (Result, error) 
 
 // refEngine is the map-based simulator state behind RunReference.
 type refEngine struct {
-	k   int
+	k   int // capacity in force: K(now) under an elastic schedule
 	tau int64
 
 	next []int64 // per-core clock
@@ -193,7 +244,9 @@ func (e *refEngine) Cached(p core.PageID) bool {
 	return ok
 }
 
-func (e *refEngine) Free() int  { return e.k - e.used }
+// Free is clamped at zero: a shed blocked on in-flight pages can leave
+// more cells used than K(t).
+func (e *refEngine) Free() int  { return max(e.k-e.used, 0) }
 func (e *refEngine) K() int     { return e.k }
 func (e *refEngine) Tau() int   { return int(e.tau) }
 func (e *refEngine) Now() int64 { return e.now }

@@ -46,7 +46,7 @@
 //
 // # Implementation: heap-ordered service
 //
-// The sequential serve loop keeps the unfinished cores in a binary
+// The serve loop keeps the unfinished cores in a binary
 // min-heap keyed by (next[c], c), whose pop order is the canonical one:
 // increasing time, then increasing core index. Each distinct service
 // time runs the capacity hook, Ticker.OnTick and the cancellation poll
@@ -54,6 +54,18 @@
 // clock equals that time, sinking (or leaving the heap when its
 // sequence is done) after each request. RunReference keeps the per-step
 // scans over all cores and is the independent oracle for this order.
+//
+// One run is one serial timeline: cores share nothing but the cache, so
+// throughput comes from running whole runs side by side (one Runner per
+// worker), never from splitting a run.
+//
+// # Elastic capacity
+//
+// Under a non-constant Params.Capacity the engine caches the schedule's
+// next change point and runs applyCapacity only when a step reaches it
+// or a shrink is still shedding. RunReference models K(t) on its own,
+// re-reading Capacity.At(t) at every step, so elastic runs are checked
+// against an oracle that shares none of that caching.
 package sim
 
 import (
@@ -296,18 +308,12 @@ type engine struct {
 	readyAt   []int64 // per dense page: fetch completion time, notCached if absent
 	fetchedBy []int32 // per cached dense page: the core whose fault fetched it
 
-	// heap holds the unfinished cores of a sequential run as a binary
+	// heap holds the unfinished cores of a run as a binary
 	// min-heap keyed by (next[c], c); see siftDown.
 	heap []int32
 
 	fwd map[core.PageID]core.PageID // original → dense (nil when direct)
 	inv []core.PageID               // dense → original (nil when direct)
-
-	// owner[pg] is the core whose sequence contains dense page pg (-1
-	// when unrequested), built lazily by disjointDense for the parallel
-	// engine; ownerState caches the disjointness verdict per bind.
-	owner      []int32
-	ownerState uint8
 
 	// Flat occurrence table for the oracle. The pairs of page pg occupy
 	// slotStart[pg]..slotStart[pg+1]-1, one per core that requests pg, in
@@ -529,14 +535,8 @@ func densePageLimit(n int) int {
 // Runner is not safe for concurrent use — give each worker its own. The
 // request set must not be mutated while the Runner is in use.
 type Runner struct {
-	rs    core.RequestSet
-	e     engine
-	par   parState
-	stats EngineStats
-	// ca is the current run's CapacityAware view of the strategy (nil
-	// for fixed-capacity runs), held here so both engines' capacity
-	// cold paths reach it without widening their signatures.
-	ca CapacityAware
+	rs core.RequestSet
+	e  engine
 }
 
 // NewRunner validates the request set and builds the reusable engine
@@ -601,8 +601,6 @@ func (r *Runner) bind(rs core.RequestSet) error {
 	e.heap = growSlice(e.heap, p)
 	e.occBuilt = false
 	e.occN = n
-	e.ownerState = ownerUnknown
-	r.par.flatBound = false
 	return nil
 }
 
@@ -736,9 +734,8 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 	ticker, _ := s.(Ticker)
 	_, repart := s.(Repartitioner)
 	ca, _ := s.(CapacityAware)
-	r.ca = ca
 	if e.sched != nil {
-		if r.ca == nil {
+		if ca == nil {
 			return res, fmt.Errorf("sim: strategy %s does not support time-varying capacity (schedule %s)", s.Name(), e.sched)
 		}
 		// The model needs K(t) >= active cores throughout: with fewer
@@ -754,11 +751,6 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 			return res, fmt.Errorf("sim: capacity schedule %s reaches %d cells, below %d active cores", e.sched, e.sched.Min(), active)
 		}
 	}
-	if ticker == nil && r.parallelReady() {
-		r.stats.ParallelRuns++
-		return r.runParallel(ctx, s, obs, &res)
-	}
-	r.stats.SequentialRuns++
 	seqs := e.seqs
 	var served, nextCheck int64 = 0, cancelCheckEvery
 
@@ -789,7 +781,7 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 		e.now = t
 
 		if e.sched != nil && (t >= e.nextChange || e.used > e.k) {
-			if err := r.applyCapacity(t, s, obs, &res, false); err != nil {
+			if err := r.applyCapacity(t, s, ca, obs, &res); err != nil {
 				return res, err
 			}
 		}
@@ -885,24 +877,23 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 	return res, nil
 }
 
-// applyCapacity is the elastic-capacity cold path, shared verbatim by
-// the sequential and speculative engines so the capacity timeline is
-// engine-independent. Called at service time t when a schedule
-// boundary has been reached (t >= nextChange) or a previous shrink is
-// still shedding (used > k): it announces the net capacity At(t) —
-// several breakpoints between two service steps collapse into one
-// announcement, deterministically in t — and then reclaims
-// over-capacity cells one SurrenderOne victim at a time. In-flight
-// pages cannot be evicted (the paper's rule); when only those remain
-// the shed stops and is retried at every subsequent service step.
+// applyCapacity is the elastic-capacity cold path. Called at service
+// time t when a schedule boundary has been reached (t >= nextChange)
+// or a previous shrink is still shedding (used > k): it announces the
+// net capacity At(t) — several breakpoints between two service steps
+// collapse into one announcement, deterministically in t — and then
+// reclaims over-capacity cells one SurrenderOne victim at a time.
+// In-flight pages cannot be evicted (the paper's rule); when only those
+// remain the shed stops and is retried at every subsequent service
+// step.
 //
 //mcpaging:coldpath capacity boundaries are rare relative to served requests
-func (r *Runner) applyCapacity(t int64, s Strategy, obs Observer, res *Result, cut bool) error {
+func (r *Runner) applyCapacity(t int64, s Strategy, ca CapacityAware, obs Observer, res *Result) error {
 	e := &r.e
 	if t >= e.nextChange {
 		if k := e.sched.At(t); k != e.k {
 			e.k = k
-			r.ca.OnCapacity(k, t)
+			ca.OnCapacity(k, t)
 			if obs != nil {
 				obs(Event{Time: t, Core: -1, Index: -1, Page: core.NoPage, Victim: core.NoPage, VictimCore: -1, Capacity: true, K: k})
 			}
@@ -910,7 +901,7 @@ func (r *Runner) applyCapacity(t int64, s Strategy, obs Observer, res *Result, c
 		e.nextChange = e.sched.NextChange(t)
 	}
 	for e.used > e.k {
-		v, ok := r.ca.SurrenderOne(e)
+		v, ok := ca.SurrenderOne(e)
 		if !ok {
 			break
 		}
@@ -919,9 +910,6 @@ func (r *Runner) applyCapacity(t int64, s Strategy, obs Observer, res *Result, c
 			return fmt.Errorf("sim: strategy %s capacity shed: %w", s.Name(), err)
 		}
 		res.CapacityEvictions++
-		if cut {
-			r.cutSpeculation(v)
-		}
 		if obs != nil {
 			obs(Event{Time: t, Core: -1, Index: -1, Page: v, Victim: v, VictimCore: holder, Tick: true, Capacity: true})
 		}
@@ -936,13 +924,9 @@ func (r *Runner) release() {
 	r.e.seqs = nil
 	r.e.fwd = nil
 	r.e.sched = nil
-	r.ca = nil
 	for i := range r.e.denseSeqs {
 		r.e.denseSeqs[i] = nil
 	}
-	r.par.workers = 0
-	r.par.flatBound = false
-	r.e.ownerState = ownerUnknown
 }
 
 // runnerPool recycles Runner state across Run calls so one-shot runs

@@ -37,11 +37,6 @@ type Grid struct {
 	Seed int64
 	// Workers bounds concurrency (0 = GOMAXPROCS).
 	Workers int
-	// Parallel enables intra-run speculation inside each grid point
-	// with that many scan workers (0 = sequential engine). Useful when
-	// the grid has fewer points than cores; points ineligible for the
-	// parallel engine fall back automatically with identical results.
-	Parallel int
 	// PortableOnly restricts Capacities to the portable schedule
 	// families (capacity.ParsePortableSchedule): no family that reads
 	// files local to the validating process. The network-facing callers
@@ -179,9 +174,6 @@ func Run(g Grid) ([]Point, error) {
 		go func() {
 			defer wg.Done()
 			rn, err := sim.NewRunner(g.R)
-			if err == nil {
-				rn.SetParallel(g.Parallel)
-			}
 			for i := range jobs {
 				pt := &points[i]
 				if err != nil {

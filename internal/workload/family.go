@@ -29,12 +29,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"mcpaging/internal/adversary"
 	"mcpaging/internal/core"
 	"mcpaging/internal/sim"
+	"mcpaging/internal/specargs"
 	"mcpaging/internal/trace"
 )
 
@@ -43,7 +43,7 @@ import (
 type Family struct {
 	spec string
 	def  *familyDef
-	par  famParams
+	par  specargs.Params
 }
 
 // familyDef is one registry row.
@@ -53,56 +53,29 @@ type familyDef struct {
 	// keys lists the accepted parameters (defaults in parentheses in
 	// the usage string); unknown keys are a parse error.
 	keys   []string
-	sample func(p famParams, seed int64) (core.RequestSet, error)
-}
-
-// famParams holds the parsed key=value pairs of a family spec.
-type famParams map[string]string
-
-func (p famParams) intOr(key string, def int) (int, error) {
-	raw, ok := p[key]
-	if !ok {
-		return def, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %s=%q is not an integer", key, raw)
-	}
-	return v, nil
-}
-
-func (p famParams) floatOr(key string, def float64) (float64, error) {
-	raw, ok := p[key]
-	if !ok {
-		return def, nil
-	}
-	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %s=%q is not a number", key, raw)
-	}
-	return v, nil
+	sample func(p specargs.Params, seed int64) (core.RequestSet, error)
 }
 
 // synthKeys are the parameters shared by every synthetic family.
 var synthKeys = []string{"cores", "length", "pages", "shared", "sharedpages"}
 
 // synthSpec assembles the common Spec fields of the synthetic families.
-func synthSpec(p famParams, kind Kind, seed int64) (Spec, error) {
+func synthSpec(p specargs.Params, kind Kind, seed int64) (Spec, error) {
 	s := Spec{Kind: kind, Seed: seed}
 	var err error
-	if s.Cores, err = p.intOr("cores", 4); err != nil {
+	if s.Cores, err = p.Int("cores", 4); err != nil {
 		return s, err
 	}
-	if s.Length, err = p.intOr("length", 4096); err != nil {
+	if s.Length, err = p.Int("length", 4096); err != nil {
 		return s, err
 	}
-	if s.Pages, err = p.intOr("pages", 256); err != nil {
+	if s.Pages, err = p.Int("pages", 256); err != nil {
 		return s, err
 	}
-	if s.SharedFrac, err = p.floatOr("shared", 0); err != nil {
+	if s.SharedFrac, err = p.Float("shared", 0); err != nil {
 		return s, err
 	}
-	if s.SharedPages, err = p.intOr("sharedpages", 0); err != nil {
+	if s.SharedPages, err = p.Int("sharedpages", 0); err != nil {
 		return s, err
 	}
 	return s, nil
@@ -111,14 +84,14 @@ func synthSpec(p famParams, kind Kind, seed int64) (Spec, error) {
 // advParams reads the common adversarial parameters: p, k and the
 // jitter base. jitterKey names the free length parameter of the
 // construction.
-func advParams(par famParams, jitterKey string, jitterDef int) (p, k, base int, err error) {
-	if p, err = par.intOr("p", 4); err != nil {
+func advParams(par specargs.Params, jitterKey string, jitterDef int) (p, k, base int, err error) {
+	if p, err = par.Int("p", 4); err != nil {
 		return
 	}
-	if k, err = par.intOr("k", 2*p); err != nil {
+	if k, err = par.Int("k", 2*p); err != nil {
 		return
 	}
-	if base, err = par.intOr(jitterKey, jitterDef); err != nil {
+	if base, err = par.Int(jitterKey, jitterDef); err != nil {
 		return
 	}
 	if base < 1 {
@@ -137,7 +110,7 @@ var families = []familyDef{
 	{
 		name: "uniform", desc: "independent uniform draws per core",
 		keys: synthKeys,
-		sample: func(p famParams, seed int64) (core.RequestSet, error) {
+		sample: func(p specargs.Params, seed int64) (core.RequestSet, error) {
 			s, err := synthSpec(p, Uniform, seed)
 			if err != nil {
 				return nil, err
@@ -148,15 +121,15 @@ var families = []familyDef{
 	{
 		name: "zipf", desc: "Zipf-skewed page popularity per core",
 		keys: append([]string{"s", "v"}, synthKeys...),
-		sample: func(p famParams, seed int64) (core.RequestSet, error) {
+		sample: func(p specargs.Params, seed int64) (core.RequestSet, error) {
 			s, err := synthSpec(p, Zipf, seed)
 			if err != nil {
 				return nil, err
 			}
-			if s.ZipfS, err = p.floatOr("s", 1.2); err != nil {
+			if s.ZipfS, err = p.Float("s", 1.2); err != nil {
 				return nil, err
 			}
-			if s.ZipfV, err = p.floatOr("v", 1); err != nil {
+			if s.ZipfV, err = p.Float("v", 1); err != nil {
 				return nil, err
 			}
 			return Generate(s)
@@ -165,7 +138,7 @@ var families = []familyDef{
 	{
 		name: "loop", desc: "sequential scans over the core's page range",
 		keys: synthKeys,
-		sample: func(p famParams, seed int64) (core.RequestSet, error) {
+		sample: func(p specargs.Params, seed int64) (core.RequestSet, error) {
 			s, err := synthSpec(p, Loop, seed)
 			if err != nil {
 				return nil, err
@@ -176,15 +149,15 @@ var families = []familyDef{
 	{
 		name: "phased", desc: "phase-shifting working sets per core",
 		keys: append([]string{"phases", "ws"}, synthKeys...),
-		sample: func(p famParams, seed int64) (core.RequestSet, error) {
+		sample: func(p specargs.Params, seed int64) (core.RequestSet, error) {
 			s, err := synthSpec(p, Phased, seed)
 			if err != nil {
 				return nil, err
 			}
-			if s.Phases, err = p.intOr("phases", 0); err != nil {
+			if s.Phases, err = p.Int("phases", 0); err != nil {
 				return nil, err
 			}
-			if s.WorkingSet, err = p.intOr("ws", 0); err != nil {
+			if s.WorkingSet, err = p.Int("ws", 0); err != nil {
 				return nil, err
 			}
 			return Generate(s)
@@ -193,12 +166,12 @@ var families = []familyDef{
 	{
 		name: "markov", desc: "ring random walk with uniform jumps",
 		keys: append([]string{"jump"}, synthKeys...),
-		sample: func(p famParams, seed int64) (core.RequestSet, error) {
+		sample: func(p specargs.Params, seed int64) (core.RequestSet, error) {
 			s, err := synthSpec(p, Markov, seed)
 			if err != nil {
 				return nil, err
 			}
-			if s.JumpProb, err = p.floatOr("jump", 0); err != nil {
+			if s.JumpProb, err = p.Float("jump", 0); err != nil {
 				return nil, err
 			}
 			return Generate(s)
@@ -222,12 +195,12 @@ var families = []familyDef{
 	{
 		name: "thm1", desc: "Theorem 1(1) round-robin distinct periods (shared LRU beats static partitions)",
 		keys: []string{"p", "k", "tau", "x"},
-		sample: func(par famParams, seed int64) (core.RequestSet, error) {
+		sample: func(par specargs.Params, seed int64) (core.RequestSet, error) {
 			p, k, x, err := advParams(par, "x", 16)
 			if err != nil {
 				return nil, err
 			}
-			tau, err := par.intOr("tau", 2)
+			tau, err := par.Int("tau", 2)
 			if err != nil {
 				return nil, err
 			}
@@ -238,7 +211,7 @@ var families = []familyDef{
 	{
 		name: "lemma1", desc: "Lemma 1 cycling core under a fixed even partition (per-part LRU vs per-part OPT)",
 		keys: []string{"p", "k", "percore"},
-		sample: func(par famParams, seed int64) (core.RequestSet, error) {
+		sample: func(par specargs.Params, seed int64) (core.RequestSet, error) {
 			p, k, percore, err := advParams(par, "percore", 1024)
 			if err != nil {
 				return nil, err
@@ -250,7 +223,7 @@ var families = []familyDef{
 	{
 		name: "lemma2", desc: "Lemma 2 thrashing cores vs the offline static partition",
 		keys: []string{"p", "k", "percore"},
-		sample: func(par famParams, seed int64) (core.RequestSet, error) {
+		sample: func(par specargs.Params, seed int64) (core.RequestSet, error) {
 			p, k, percore, err := advParams(par, "percore", 1024)
 			if err != nil {
 				return nil, err
@@ -262,7 +235,7 @@ var families = []familyDef{
 	{
 		name: "lemma4", desc: "Lemma 4 cyclic sequences (shared LRU thrashes, sacrifice wins)",
 		keys: []string{"p", "k", "percore"},
-		sample: func(par famParams, seed int64) (core.RequestSet, error) {
+		sample: func(par specargs.Params, seed int64) (core.RequestSet, error) {
 			p, k, percore, err := advParams(par, "percore", 1024)
 			if err != nil {
 				return nil, err
@@ -296,28 +269,28 @@ func evenSizes(k, p int) []int {
 // the cores fault in synchronized bursts at phase boundaries — the
 // workload shape that stresses partition controllers, which see all
 // cores demand capacity at once.
-func sampleCorrelated(p famParams, seed int64) (core.RequestSet, error) {
-	cores, err := p.intOr("cores", 4)
+func sampleCorrelated(p specargs.Params, seed int64) (core.RequestSet, error) {
+	cores, err := p.Int("cores", 4)
 	if err != nil {
 		return nil, err
 	}
-	length, err := p.intOr("length", 4096)
+	length, err := p.Int("length", 4096)
 	if err != nil {
 		return nil, err
 	}
-	pages, err := p.intOr("pages", 128)
+	pages, err := p.Int("pages", 128)
 	if err != nil {
 		return nil, err
 	}
-	rho, err := p.floatOr("rho", 0.8)
+	rho, err := p.Float("rho", 0.8)
 	if err != nil {
 		return nil, err
 	}
-	ws, err := p.intOr("ws", 0)
+	ws, err := p.Int("ws", 0)
 	if err != nil {
 		return nil, err
 	}
-	dwell, err := p.intOr("dwell", 256)
+	dwell, err := p.Int("dwell", 256)
 	if err != nil {
 		return nil, err
 	}
@@ -364,20 +337,20 @@ func sampleCorrelated(p famParams, seed int64) (core.RequestSet, error) {
 // sampleMixed composes one scanning (loop) core with cores-1 zipf
 // cores: the asymmetric-pressure workload on which fault-fairness
 // controllers separate from even splits.
-func sampleMixed(p famParams, seed int64) (core.RequestSet, error) {
-	cores, err := p.intOr("cores", 4)
+func sampleMixed(p specargs.Params, seed int64) (core.RequestSet, error) {
+	cores, err := p.Int("cores", 4)
 	if err != nil {
 		return nil, err
 	}
-	length, err := p.intOr("length", 4096)
+	length, err := p.Int("length", 4096)
 	if err != nil {
 		return nil, err
 	}
-	pages, err := p.intOr("pages", 128)
+	pages, err := p.Int("pages", 128)
 	if err != nil {
 		return nil, err
 	}
-	zs, err := p.floatOr("s", 1.2)
+	zs, err := p.Float("s", 1.2)
 	if err != nil {
 		return nil, err
 	}
@@ -401,16 +374,16 @@ func sampleMixed(p famParams, seed int64) (core.RequestSet, error) {
 // probability swap. The perturbed replay keeps the trace's locality
 // structure while making every seed a distinct instance, so trace-based
 // claims are statistical rather than single-replay.
-func sampleTrace(p famParams, seed int64) (core.RequestSet, error) {
+func sampleTrace(p specargs.Params, seed int64) (core.RequestSet, error) {
 	path, ok := p["path"]
 	if !ok || path == "" {
 		return nil, fmt.Errorf("workload: trace family needs path=...")
 	}
-	rewrite, err := p.floatOr("rewrite", 0.02)
+	rewrite, err := p.Float("rewrite", 0.02)
 	if err != nil {
 		return nil, err
 	}
-	swap, err := p.floatOr("swap", 0.01)
+	swap, err := p.Float("swap", 0.01)
 	if err != nil {
 		return nil, err
 	}
@@ -504,50 +477,18 @@ func ListFamilies() []FamilyInfo {
 // unknown families and unknown or malformed parameters are errors.
 func ParseFamily(spec string) (*Family, error) {
 	spec = strings.TrimSpace(spec)
-	open := strings.Index(spec, "(")
-	name, arglist := spec, ""
-	if open >= 0 {
-		if !strings.HasSuffix(spec, ")") {
-			return nil, fmt.Errorf("workload: bad family spec %q (want name(key=val,...))", spec)
-		}
-		name, arglist = spec[:open], spec[open+1:len(spec)-1]
+	name, arglist, ok := specargs.Split(spec)
+	if !ok {
+		return nil, fmt.Errorf("workload: bad family spec %q (want name(key=val,...))", spec)
 	}
 	def := familyByName(name)
 	if def == nil {
 		return nil, fmt.Errorf("workload: unknown family %q (valid: %s)",
 			name, strings.Join(FamilyNames(), ", "))
 	}
-	par := famParams{}
-	var keys []string // spec order, so unknown-key errors are stable
-	if strings.TrimSpace(arglist) != "" {
-		for _, kv := range strings.Split(arglist, ",") {
-			key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-			if !ok || key == "" {
-				return nil, fmt.Errorf("workload: family %s: bad parameter %q (want key=val)", name, kv)
-			}
-			if _, dup := par[key]; dup {
-				return nil, fmt.Errorf("workload: family %s: duplicate parameter %q", name, key)
-			}
-			par[key] = val
-			keys = append(keys, key)
-		}
-	}
-	var unknown []string
-	for _, key := range keys {
-		found := false
-		for _, k := range def.keys {
-			if k == key {
-				found = true
-				break
-			}
-		}
-		if !found {
-			unknown = append(unknown, key)
-		}
-	}
-	if len(unknown) > 0 {
-		return nil, fmt.Errorf("workload: family %s does not accept %s (valid: %s)",
-			name, strings.Join(unknown, ", "), strings.Join(def.keys, ", "))
+	par, err := specargs.Parse("workload: family "+name, arglist, def.keys)
+	if err != nil {
+		return nil, err
 	}
 	f := &Family{spec: spec, def: def, par: par}
 	// Fail fast on malformed values: a throwaway sample surfaces
