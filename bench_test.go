@@ -10,7 +10,6 @@ import (
 
 	"mcpaging"
 	"mcpaging/internal/experiments"
-	"mcpaging/internal/mattson"
 	"mcpaging/internal/offline"
 )
 
@@ -328,8 +327,8 @@ func BenchmarkAblationFTFPruning(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationOPTCurve contrasts the serial and parallel OPT-curve
-// computations (identical outputs).
+// BenchmarkAblationOPTCurve times the Belady miss curve of one core
+// (one priority-stack pass for every size up to 64).
 func BenchmarkAblationOPTCurve(b *testing.B) {
 	rs, err := mcpaging.GenerateWorkload(mcpaging.WorkloadSpec{
 		Cores: 1, Length: 30000, Pages: 256, Kind: mcpaging.WorkloadZipf, Seed: 9,
@@ -338,13 +337,9 @@ func BenchmarkAblationOPTCurve(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			mcpaging.OPTMissCurve(rs[0], 64)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mattson.OPTCurveParallel(rs[0], 64, 0)
 		}
 	})
 }

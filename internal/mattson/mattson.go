@@ -1,12 +1,13 @@
 // Package mattson computes per-core miss curves and optimal static cache
 // partitions.
 //
-// For a single core, the number of LRU misses as a function of cache size
-// is obtained in one pass with Mattson's stack algorithm (Mattson et al.,
-// IBM Systems Journal 1970): the LRU stack distance of each access is the
-// depth of the page in the recency stack, and an access misses in a cache
-// of size k exactly when its stack distance exceeds k. The OPT (Belady)
-// miss curve is obtained by direct simulation per size.
+// For a single core, the miss count of LRU and of Belady's OPT as a
+// function of cache size is obtained in one pass with Mattson's priority
+// stack algorithm (Mattson et al., IBM Systems Journal 1970). Both are
+// stack algorithms: a cache of size k always holds the top k entries of
+// one stack, so an access misses in a cache of size k exactly when the
+// page sits deeper than k. The stack is ordered by recency for LRU and by
+// next use for OPT.
 //
 // Because a fault only delays the faulting core's own sequence, the
 // per-core fault count of a *static partition* strategy is independent of
@@ -17,178 +18,104 @@
 package mattson
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"mcpaging/internal/core"
 )
 
-// LRUCurve returns the LRU miss counts for cache sizes 0..kmax for one
-// sequence: curve[k] is the number of misses with a dedicated LRU cache
-// of k pages. curve[0] is defined as len(seq).
-func LRUCurve(seq core.Sequence, kmax int) []int64 {
-	curve := make([]int64, kmax+1)
+// stackEntry is one slot of the priority stack.
+type stackEntry struct {
+	page core.PageID
+	rank int64 // eviction rank: among resident pages the largest goes first
+}
+
+// stackCurve runs Mattson's priority-stack pass over seq and returns the
+// miss counts for cache sizes 0..min(kmax, distinct pages); the curve is
+// flat beyond its last point. rank(i) is the eviction rank of seq[i] from
+// access i until the page's next access.
+//
+// The accessed page goes to the top and the entry it displaces sinks. At
+// each deeper slot, of the sinking entry and the slot's entry the one with
+// the larger rank — the page a cache of that size evicts — sinks on and
+// the other keeps the slot. The sinking entry stops in the accessed page's
+// old slot or falls off below kmax, so the stack holds min(kmax, distinct)
+// entries.
+func stackCurve(seq core.Sequence, kmax int, rank func(i int) int64) []int64 {
 	if kmax < 0 {
 		return nil
 	}
-	// Recency stack, most recent first. Depth search is O(depth), giving
-	// O(n·w) worst case, which is fine at library scales; distances
-	// beyond kmax can stop early since all such accesses miss at every
-	// size ≤ kmax anyway — but we still need exact distances ≤ kmax.
-	stack := make([]core.PageID, 0, kmax+1)
-	histo := make([]int64, kmax+2) // histo[d] = accesses at distance d (1-based); [kmax+1] = deeper or cold
-	pos := make(map[core.PageID]int)
-	for _, p := range seq {
-		if i, ok := pos[p]; ok {
-			d := i + 1
-			if d > kmax {
-				histo[kmax+1]++
-			} else {
-				histo[d]++
-			}
-			// Move to front.
-			copy(stack[1:i+1], stack[:i])
-			stack[0] = p
-			for j := 0; j <= i; j++ {
-				pos[stack[j]] = j
-			}
-		} else {
-			histo[kmax+1]++ // cold miss at every size
-			stack = append(stack, core.NoPage)
-			copy(stack[1:], stack[:len(stack)-1])
-			stack[0] = p
-			for j := range stack {
-				pos[stack[j]] = j
+	var stack []stackEntry
+	var hits []int64 // hits[d]: accesses found at depth d+1
+	for i, p := range seq {
+		carry := stackEntry{page: p, rank: rank(i)}
+		d := 0
+		for ; d < len(stack) && stack[d].page != p; d++ {
+			if d == 0 || stack[d].rank > carry.rank {
+				stack[d], carry = carry, stack[d]
 			}
 		}
-	}
-	// misses(k) = # accesses with distance > k.
-	var beyond int64 = histo[kmax+1]
-	for k := kmax; k >= 0; k-- {
-		curve[k] = beyond
-		if k >= 1 {
-			beyond += histo[k]
+		switch {
+		case d < len(stack):
+			stack[d] = carry
+			hits[d]++
+		case len(stack) < kmax:
+			stack = append(stack, carry)
+			hits = append(hits, 0)
 		}
 	}
+	curve := make([]int64, len(stack)+1)
 	curve[0] = int64(len(seq))
+	for d, h := range hits {
+		curve[d+1] = curve[d] - h
+	}
 	return curve
 }
 
-// optHeapItem is a lazy max-heap entry for the Belady simulation.
-type optHeapItem struct {
-	next int64 // next-use index (math.MaxInt64 = never)
-	page core.PageID
+// lruCurve is the LRU miss curve up to min(kmax, distinct pages): the
+// least recently used page has the largest rank.
+func lruCurve(seq core.Sequence, kmax int) []int64 {
+	return stackCurve(seq, kmax, func(i int) int64 { return -int64(i) })
 }
 
-type optHeap []optHeapItem
-
-func (h optHeap) Len() int { return len(h) }
-func (h optHeap) Less(i, j int) bool {
-	if h[i].next != h[j].next {
-		return h[i].next > h[j].next // max-heap on next use
-	}
-	return h[i].page < h[j].page
-}
-func (h optHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *optHeap) Push(x interface{}) { *h = append(*h, x.(optHeapItem)) }
-func (h *optHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// OPTMisses returns the number of misses of Belady's optimal algorithm on
-// one sequence with a dedicated cache of k pages. For a single sequence
-// (no cross-core alignment effects) Belady is optimal for any τ.
-func OPTMisses(seq core.Sequence, k int) int64 {
-	if k <= 0 {
-		return int64(len(seq))
-	}
-	n := len(seq)
-	// next[i] = next index of the same page after i, or MaxInt64.
-	next := make([]int64, n)
+// optCurve is the Belady miss curve up to min(kmax, distinct pages): the
+// page used furthest in the future has the largest rank. Ties occur only
+// among pages never used again and cannot change a miss count.
+func optCurve(seq core.Sequence, kmax int) []int64 {
+	next := make([]int64, len(seq))
 	last := make(map[core.PageID]int)
-	for i := n - 1; i >= 0; i-- {
+	for i := len(seq) - 1; i >= 0; i-- {
+		next[i] = math.MaxInt64
 		if j, ok := last[seq[i]]; ok {
 			next[i] = int64(j)
-		} else {
-			next[i] = math.MaxInt64
 		}
 		last[seq[i]] = i
 	}
-	inCache := make(map[core.PageID]bool)
-	curNext := make(map[core.PageID]int64)
-	h := &optHeap{}
-	var misses int64
-	for i, p := range seq {
-		if inCache[p] {
-			curNext[p] = next[i]
-			heap.Push(h, optHeapItem{next: next[i], page: p})
-			continue
-		}
-		misses++
-		if len(inCache) >= k {
-			// Pop lazily until a live entry surfaces.
-			for {
-				it := heap.Pop(h).(optHeapItem)
-				if inCache[it.page] && curNext[it.page] == it.next {
-					delete(inCache, it.page)
-					delete(curNext, it.page)
-					break
-				}
-			}
-		}
-		inCache[p] = true
-		curNext[p] = next[i]
-		heap.Push(h, optHeapItem{next: next[i], page: p})
-	}
-	return misses
+	return stackCurve(seq, kmax, func(i int) int64 { return next[i] })
 }
 
-// OPTCurve returns Belady miss counts for sizes 0..kmax.
-func OPTCurve(seq core.Sequence, kmax int) []int64 {
-	curve := make([]int64, kmax+1)
-	for k := 0; k <= kmax; k++ {
-		curve[k] = OPTMisses(seq, k)
+// extend pads a curve flat to sizes 0..kmax.
+func extend(curve []int64, kmax int) []int64 {
+	if len(curve) == 0 || len(curve) > kmax {
+		return curve
+	}
+	flat := curve[len(curve)-1]
+	curve = slices.Grow(curve, kmax+1-len(curve))
+	for len(curve) <= kmax {
+		curve = append(curve, flat)
 	}
 	return curve
 }
 
-// OPTCurveParallel computes the same curve with the per-size Belady
-// simulations fanned out over `workers` goroutines (0 = GOMAXPROCS).
-// Each size is independent, so the result is identical to OPTCurve's;
-// the parallel version exists because the OPT curve is the most
-// expensive step of sP^OPT_OPT baselines on long traces. The
-// serial-vs-parallel ablation is BenchmarkOPTCurveParallel.
-func OPTCurveParallel(seq core.Sequence, kmax, workers int) []int64 {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	curve := make([]int64, kmax+1)
-	var next int64 = 0
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(atomic.AddInt64(&next, 1)) - 1
-				if k > kmax {
-					return
-				}
-				curve[k] = OPTMisses(seq, k)
-			}
-		}()
-	}
-	wg.Wait()
-	return curve
-}
+// LRUCurve returns the LRU miss counts for cache sizes 0..kmax for one
+// sequence: curve[k] is the number of misses with a dedicated LRU cache
+// of k pages. curve[0] is defined as len(seq).
+func LRUCurve(seq core.Sequence, kmax int) []int64 { return extend(lruCurve(seq, kmax), kmax) }
+
+// OPTCurve returns Belady miss counts for sizes 0..kmax. For a single
+// sequence (no cross-core alignment effects) Belady is optimal for any τ.
+func OPTCurve(seq core.Sequence, kmax int) []int64 { return extend(optCurve(seq, kmax), kmax) }
 
 // Partition is a static split of K cells over the cores, with the total
 // fault count the per-core curves predict for it.
@@ -202,6 +129,10 @@ type Partition struct {
 // active[j] forces size ≥ 1 for cores with requests (the paper's rule
 // that every active core gets at least one cell). Curves shorter than K+1
 // are treated as flat beyond their last point.
+//
+// Ties go to the smallest total, so totals beyond the point where every
+// curve is flat cannot win: the DP runs over min(K, Σ(len(curves[j])−1))
+// cells and costs O(p·min(K, Σ len)²), whatever K the caller claims.
 func Optimal(curves [][]int64, k int, active []bool) (Partition, error) {
 	p := len(curves)
 	if p == 0 {
@@ -210,6 +141,18 @@ func Optimal(curves [][]int64, k int, active []bool) (Partition, error) {
 	if len(active) != p {
 		return Partition{}, fmt.Errorf("mattson: active mask has %d entries for %d cores", len(active), p)
 	}
+	if k < 0 {
+		return Partition{}, fmt.Errorf("mattson: negative K=%d", k)
+	}
+	total := 0
+	for j, c := range curves {
+		if active[j] && len(c) < 2 {
+			total++
+		} else {
+			total += len(c) - 1
+		}
+	}
+	kk := min(k, total)
 	at := func(j, s int) int64 {
 		c := curves[j]
 		if s >= len(c) {
@@ -219,31 +162,31 @@ func Optimal(curves [][]int64, k int, active []bool) (Partition, error) {
 	}
 	const inf = int64(math.MaxInt64) / 4
 	// dp[k'] after processing j cores; choice[j][k'] = size given to core j.
-	dp := make([]int64, k+1)
+	dp := make([]int64, kk+1)
 	for i := range dp {
 		dp[i] = inf
 	}
 	dp[0] = 0
-	choice := make([][]int16, p)
+	choice := make([][]int32, p)
 	for j := 0; j < p; j++ {
-		ndp := make([]int64, k+1)
+		ndp := make([]int64, kk+1)
 		for i := range ndp {
 			ndp[i] = inf
 		}
-		choice[j] = make([]int16, k+1)
+		choice[j] = make([]int32, kk+1)
 		minS := 0
 		if active[j] {
 			minS = 1
 		}
-		for used := 0; used <= k; used++ {
+		for used := 0; used <= kk; used++ {
 			if dp[used] >= inf {
 				continue
 			}
-			for s := minS; used+s <= k; s++ {
+			for s := minS; used+s <= kk; s++ {
 				v := dp[used] + at(j, s)
 				if v < ndp[used+s] {
 					ndp[used+s] = v
-					choice[j][used+s] = int16(s)
+					choice[j][used+s] = int32(s)
 				}
 			}
 		}
@@ -252,7 +195,7 @@ func Optimal(curves [][]int64, k int, active []bool) (Partition, error) {
 	// Best over any total ≤ K (extra cells never hurt but curves are
 	// non-increasing, so the optimum uses them; still, scan all).
 	bestK, best := -1, inf
-	for used := 0; used <= k; used++ {
+	for used := 0; used <= kk; used++ {
 		if dp[used] < best {
 			best, bestK = dp[used], used
 		}
@@ -281,21 +224,19 @@ func ActiveMask(r core.RequestSet) []bool {
 // OptimalLRU computes the best static partition for per-part LRU on the
 // request set — the paper's sP^OPT_LRU baseline (Lemma 2) — together with
 // its predicted fault count (exact for disjoint request sets).
-func OptimalLRU(r core.RequestSet, k int) (Partition, error) {
-	curves := make([][]int64, len(r))
-	for j, s := range r {
-		curves[j] = LRUCurve(s, k)
-	}
-	return Optimal(curves, k, ActiveMask(r))
-}
+func OptimalLRU(r core.RequestSet, k int) (Partition, error) { return optimalBy(r, k, lruCurve) }
 
 // OptimalOPT computes the best static partition for per-part Belady
 // eviction — the paper's sP^OPT_OPT baseline (Theorem 1) — with its
 // predicted fault count (exact for disjoint request sets).
-func OptimalOPT(r core.RequestSet, k int) (Partition, error) {
+func OptimalOPT(r core.RequestSet, k int) (Partition, error) { return optimalBy(r, k, optCurve) }
+
+// optimalBy runs Optimal over each core's curve, computed only up to
+// min(k, that core's distinct pages): beyond that point it is flat.
+func optimalBy(r core.RequestSet, k int, curve func(core.Sequence, int) []int64) (Partition, error) {
 	curves := make([][]int64, len(r))
 	for j, s := range r {
-		curves[j] = OPTCurveParallel(s, k, 0)
+		curves[j] = curve(s, k)
 	}
 	return Optimal(curves, k, ActiveMask(r))
 }

@@ -1,8 +1,11 @@
 package mattson_test
 
 import (
+	"container/heap"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +14,7 @@ import (
 	"mcpaging/internal/mattson"
 	"mcpaging/internal/policy"
 	"mcpaging/internal/sim"
+	"mcpaging/internal/workload"
 )
 
 func lru() cache.Factory { return func() cache.Policy { return cache.NewLRU() } }
@@ -126,10 +130,12 @@ func TestOPTMissesMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		seq := randSeq(rng, 8+rng.Intn(5), 4)
 		k := 2 + rng.Intn(2)
-		got := mattson.OPTMisses(seq, k)
 		want := bruteOPT(seq, k)
-		if got != want {
-			t.Fatalf("trial %d seq=%v k=%d: OPTMisses=%d brute=%d", trial, seq, k, got, want)
+		if got := mattson.OPTCurve(seq, k)[k]; got != want {
+			t.Fatalf("trial %d seq=%v k=%d: OPTCurve=%d brute=%d", trial, seq, k, got, want)
+		}
+		if got := oracleOPTMisses(seq, k); got != want {
+			t.Fatalf("trial %d seq=%v k=%d: oracle=%d brute=%d", trial, seq, k, got, want)
 		}
 	}
 }
@@ -139,7 +145,7 @@ func TestOPTNeverWorseThanLRU(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		seq := randSeq(rng, 200, 10)
 		for k := 1; k <= 6; k++ {
-			if mattson.OPTMisses(seq, k) > mattson.LRUCurve(seq, k)[k] {
+			if mattson.OPTCurve(seq, k)[k] > mattson.LRUCurve(seq, k)[k] {
 				return false
 			}
 		}
@@ -247,6 +253,12 @@ func TestOptimalInfeasible(t *testing.T) {
 	if _, err := mattson.Optimal(curves, 2, []bool{true, true, true}); err == nil {
 		t.Fatal("expected infeasibility error")
 	}
+	// A negative K is an error, not a panic.
+	for _, k := range []int{-1, -2} {
+		if _, err := mattson.OptimalLRU(core.RequestSet{{1, 2}}, k); err == nil {
+			t.Fatalf("K=%d: expected an error", k)
+		}
+	}
 }
 
 // TestOptimalLRUPredictionExact: the DP's predicted fault count equals
@@ -307,14 +319,268 @@ func TestOptimalOPTBeatsOptimalLRU(t *testing.T) {
 	}
 }
 
-func TestOPTCurveParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	seq := randSeq(rng, 500, 20)
-	serial := mattson.OPTCurve(seq, 16)
-	for _, workers := range []int{0, 1, 3, 8} {
-		par := mattson.OPTCurveParallel(seq, 16, workers)
-		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("workers=%d: parallel curve differs", workers)
+// oracleLRUCurve is an independent LRU oracle: a recency stack indexed by
+// a map, with every position above the accessed page rewritten on each
+// access.
+func oracleLRUCurve(seq core.Sequence, kmax int) []int64 {
+	curve := make([]int64, kmax+1)
+	stack := make([]core.PageID, 0, kmax+1)
+	histo := make([]int64, kmax+2) // histo[d] = accesses at distance d (1-based); [kmax+1] = deeper or cold
+	pos := make(map[core.PageID]int)
+	for _, p := range seq {
+		if i, ok := pos[p]; ok {
+			histo[min(i+1, kmax+1)]++
+			copy(stack[1:i+1], stack[:i])
+			stack[0] = p
+			for j := 0; j <= i; j++ {
+				pos[stack[j]] = j
+			}
+		} else {
+			histo[kmax+1]++
+			stack = append(stack, core.NoPage)
+			copy(stack[1:], stack[:len(stack)-1])
+			stack[0] = p
+			for j := range stack {
+				pos[stack[j]] = j
+			}
 		}
+	}
+	beyond := histo[kmax+1]
+	for k := kmax; k >= 0; k-- {
+		curve[k] = beyond
+		if k >= 1 {
+			beyond += histo[k]
+		}
+	}
+	curve[0] = int64(len(seq))
+	return curve
+}
+
+// optHeapItem is a lazy max-heap entry for the oracle Belady simulation.
+type optHeapItem struct {
+	next int64 // next-use index (math.MaxInt64 = never)
+	page core.PageID
+}
+
+type optHeap []optHeapItem
+
+func (h optHeap) Len() int { return len(h) }
+func (h optHeap) Less(i, j int) bool {
+	if h[i].next != h[j].next {
+		return h[i].next > h[j].next // max-heap on next use
+	}
+	return h[i].page < h[j].page
+}
+func (h optHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *optHeap) Push(x interface{}) { *h = append(*h, x.(optHeapItem)) }
+func (h *optHeap) Pop() interface{} {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+// oracleOPTMisses is an independent OPT oracle: it simulates Belady's
+// algorithm with a dedicated cache of k pages, one size at a time, with a
+// lazy max-heap on next use.
+func oracleOPTMisses(seq core.Sequence, k int) int64 {
+	if k <= 0 {
+		return int64(len(seq))
+	}
+	next := make([]int64, len(seq))
+	last := make(map[core.PageID]int)
+	for i := len(seq) - 1; i >= 0; i-- {
+		if j, ok := last[seq[i]]; ok {
+			next[i] = int64(j)
+		} else {
+			next[i] = math.MaxInt64
+		}
+		last[seq[i]] = i
+	}
+	inCache := make(map[core.PageID]bool)
+	curNext := make(map[core.PageID]int64)
+	h := &optHeap{}
+	var misses int64
+	for i, p := range seq {
+		if inCache[p] {
+			curNext[p] = next[i]
+			heap.Push(h, optHeapItem{next: next[i], page: p})
+			continue
+		}
+		misses++
+		if len(inCache) >= k {
+			for { // pop lazily until a live entry surfaces
+				it := heap.Pop(h).(optHeapItem)
+				if inCache[it.page] && curNext[it.page] == it.next {
+					delete(inCache, it.page)
+					delete(curNext, it.page)
+					break
+				}
+			}
+		}
+		inCache[p] = true
+		curNext[p] = next[i]
+		heap.Push(h, optHeapItem{next: next[i], page: p})
+	}
+	return misses
+}
+
+// checkCurves compares both curves of seq against the oracles, and the
+// OPT curve against exhaustive search when the input is tiny enough.
+func checkCurves(t *testing.T, seq core.Sequence, kmax int) {
+	t.Helper()
+	lruGot, optGot := mattson.LRUCurve(seq, kmax), mattson.OPTCurve(seq, kmax)
+	if want := oracleLRUCurve(seq, kmax); !reflect.DeepEqual(lruGot, want) {
+		t.Fatalf("seq=%v kmax=%d: LRUCurve %v, oracle %v", seq, kmax, lruGot, want)
+	}
+	if len(optGot) != kmax+1 {
+		t.Fatalf("seq=%v kmax=%d: OPTCurve has %d points", seq, kmax, len(optGot))
+	}
+	for k, got := range optGot {
+		if want := oracleOPTMisses(seq, k); got != want {
+			t.Fatalf("seq=%v k=%d: OPTCurve %d, oracle %d", seq, k, got, want)
+		}
+		if len(seq) <= 9 && k >= 1 && k <= 3 {
+			if want := bruteOPT(seq, k); got != want {
+				t.Fatalf("seq=%v k=%d: OPTCurve %d, brute force %d", seq, k, got, want)
+			}
+		}
+	}
+}
+
+// fuzzSeq decodes one page per byte: the low four bits pick the page and
+// bit 4 moves it into a sparse ID range near 2^30.
+func fuzzSeq(data []byte) core.Sequence {
+	seq := make(core.Sequence, len(data))
+	for i, b := range data {
+		seq[i] = core.PageID(b & 0x0f)
+		if b&0x10 != 0 {
+			seq[i] += 1 << 30
+		}
+	}
+	return seq
+}
+
+func TestMissCurvesMatchOracles(t *testing.T) {
+	rng := rand.New(rand.NewSource(1970))
+	for trial := 0; trial < 1000; trial++ {
+		data := make([]byte, rng.Intn(120))
+		rng.Read(data)
+		if trial%2 == 0 {
+			for i := range data {
+				data[i] &^= 0x10 // dense IDs
+			}
+		}
+		checkCurves(t, fuzzSeq(data), rng.Intn(20))
+	}
+}
+
+// TestMissCurvesOnZipfTrace checks every core of a 4×16K Zipf trace, the
+// shape of the portfolio sweep, at every size up to 256 (OPT at sampled
+// sizes: the per-size oracle is slow).
+func TestMissCurvesOnZipfTrace(t *testing.T) {
+	rs := zipfTrace(t, 4, 16384, 1024, 951)
+	const kmax = 256
+	for j, seq := range rs {
+		if got, want := mattson.LRUCurve(seq, kmax), oracleLRUCurve(seq, kmax); !reflect.DeepEqual(got, want) {
+			t.Fatalf("core %d: LRUCurve differs from the oracle", j)
+		}
+		opt := mattson.OPTCurve(seq, kmax)
+		for _, k := range []int{0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 256} {
+			if want := oracleOPTMisses(seq, k); opt[k] != want {
+				t.Fatalf("core %d k=%d: OPTCurve %d, oracle %d", j, k, opt[k], want)
+			}
+		}
+	}
+}
+
+func FuzzMissCurves(f *testing.F) {
+	f.Add(byte(3), []byte{1, 2, 3, 1, 2, 3})
+	f.Add(byte(2), []byte{0, 1, 2, 0, 1, 3, 0, 4})
+	f.Add(byte(5), []byte{0x11, 0x12, 1, 0x11, 2, 0x12, 0x13, 1})
+	f.Add(byte(0), []byte{7, 7, 7})
+	f.Add(byte(9), []byte{})
+	f.Fuzz(func(t *testing.T, kmax byte, data []byte) {
+		if len(data) > 400 {
+			data = data[:400]
+		}
+		checkCurves(t, fuzzSeq(data), int(kmax%24))
+	})
+}
+
+func zipfTrace(tb testing.TB, cores, length, pages int, seed int64) core.RequestSet {
+	tb.Helper()
+	rs, err := workload.Generate(workload.Spec{Cores: cores, Length: length, Pages: pages, Kind: workload.Zipf, Seed: seed})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rs
+}
+
+// TestOptimalLargeSizes: partition sizes above 32767 come back intact.
+func TestOptimalLargeSizes(t *testing.T) {
+	const k = 40000
+	curve := make([]int64, k+1)
+	for s := range curve {
+		curve[s] = int64(k - s)
+	}
+	part, err := mattson.Optimal([][]int64{curve}, k, []bool{true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(part.Sizes, []int{k}) || part.Faults != 0 {
+		t.Fatalf("partition %+v, want sizes [%d] with 0 faults", part, k)
+	}
+}
+
+// TestOptimalBoundedByInstance: the sP^OPT partitions do not change once
+// K exceeds the distinct pages, and their cost follows the instance, not
+// the K the caller claims.
+func TestOptimalBoundedByInstance(t *testing.T) {
+	rs := zipfTrace(t, 4, 4000, 256, 3)
+	distinct := len(rs.Universe())
+	for _, tc := range []struct {
+		name    string
+		optimal func(core.RequestSet, int) (mattson.Partition, error)
+	}{{"LRU", mattson.OptimalLRU}, {"OPT", mattson.OptimalOPT}} {
+		want, err := tc.optimal(rs, distinct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{2 * distinct, 1 << 16} {
+			if got, err := tc.optimal(rs, k); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s K=%d: %+v (%v), want %+v as at K=%d", tc.name, k, got, err, want, distinct)
+			}
+		}
+		for _, in := range []core.RequestSet{rs[:1], rs} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := tc.optimal(in, 1<<16); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+				t.Fatalf("%s on %d cores at K=65536 allocated %d bytes, want ≤ 1 MB", tc.name, len(in), alloc)
+			}
+		}
+	}
+}
+
+var curveSink []int64
+
+func BenchmarkMissCurves(b *testing.B) {
+	rs := zipfTrace(b, 4, 16384, 1024, 951)
+	for _, bc := range []struct {
+		name  string
+		curve func(core.Sequence, int) []int64
+	}{{"LRU", mattson.LRUCurve}, {"OPT", mattson.OPTCurve}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, seq := range rs {
+					curveSink = bc.curve(seq, 256)
+				}
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 
 	"mcpaging/internal/core"
 )
@@ -34,13 +35,6 @@ import (
 // true FTF optimum. SolveFTF remains the paper's Algorithm 1; experiment
 // E10 reports where the two differ.
 
-// ftfSeqState mirrors ftfState for the sequential DP.
-type ftfSeqState struct {
-	config []core.PageID
-	x      []int
-	faults int64
-}
-
 // SolveFTFSeq computes the exact minimum total faults under
 // logical-order semantics. Same complexity regime as SolveFTF
 // (polynomial in n for constant p and K); disjoint request sets only.
@@ -49,53 +43,16 @@ func SolveFTFSeq(inst core.Instance, opts Options) (FTFSolution, error) {
 	if err != nil {
 		return FTFSolution{}, err
 	}
-	maxSum := pr.maxPosSum()
-	buckets := make([]map[string]*ftfSeqState, maxSum+1)
-	add := func(sum int, st *ftfSeqState) {
-		if buckets[sum] == nil {
-			buckets[sum] = make(map[string]*ftfSeqState)
-		}
-		key := stateKey(st.config, st.x)
-		if old, ok := buckets[sum][key]; ok {
-			if st.faults < old.faults {
-				old.faults = st.faults
-			}
-			return
-		}
-		buckets[sum][key] = st
+	best, states, err := pr.solveDP("solve FTF seq", opts, true, func(st *ftfNode, add func(*ftfNode)) {
+		pr.seqTransition(st, inst.P.K, opts.AllowForcing, false, add)
+	})
+	if err != nil {
+		return FTFSolution{}, err
 	}
-	add(0, &ftfSeqState{x: make([]int, pr.p)})
-
-	best := int64(math.MaxInt64)
-	states := 0
-	limit := opts.maxStates()
-
-	for sum := 0; sum <= maxSum; sum++ {
-		for _, skey := range sortedStateKeys(buckets[sum]) {
-			st := buckets[sum][skey]
-			states++
-			if states > limit {
-				return FTFSolution{}, fmt.Errorf("solve FTF seq: %w (limit %d)", ErrStateLimit, limit)
-			}
-			if pr.done(st.x) {
-				if st.faults < best {
-					best = st.faults
-				}
-				continue
-			}
-			if st.faults >= best {
-				continue
-			}
-			pr.seqTransition(st, inst.P.K, opts.AllowForcing, func(nc []core.PageID, nx []int, nf int64) {
-				add(posSum(nx), &ftfSeqState{config: nc, x: nx, faults: nf})
-			})
-		}
-		buckets[sum] = nil
-	}
-	if best == int64(math.MaxInt64) {
+	if best == nil {
 		return FTFSolution{}, fmt.Errorf("solve FTF seq: no feasible schedule")
 	}
-	return FTFSolution{Faults: best, States: states}, nil
+	return FTFSolution{Faults: best.faults, States: states}, nil
 }
 
 // seqTransition enumerates one timestep under logical-order semantics:
@@ -104,8 +61,9 @@ func SolveFTFSeq(inst core.Instance, opts Options) (FTFSolution, error) {
 // fault's victim may be any page that is neither in flight (a fetch slot
 // of the pre-transition positions or a fault earlier in this step) nor
 // the faulting page itself. Honest: evictions happen only on capacity
-// overflow.
-func (pr *prep) seqTransition(st *ftfSeqState, k int, forcing bool, emit func([]core.PageID, []int, int64)) {
+// overflow, unless forcing. With trace, each successor records st as its
+// parent and the decisions taken in the step.
+func (pr *prep) seqTransition(st *ftfNode, k int, forcing, trace bool, add func(*ftfNode)) {
 	// In-flight pages carried over from previous steps (fetch slots).
 	carriedInflight := make(map[core.PageID]bool, pr.p)
 	for i := 0; i < pr.p; i++ {
@@ -120,13 +78,21 @@ func (pr *prep) seqTransition(st *ftfSeqState, k int, forcing bool, emit func([]
 		config   []core.PageID
 		inflight map[core.PageID]bool
 		faults   int64
+		decs     []Decision
+	}
+	emit := func(config []core.PageID, x []int, f frame) {
+		n := &ftfNode{config: config, x: x, faults: f.faults}
+		if trace {
+			n.parent, n.step = st, f.decs
+		}
+		add(n)
 	}
 	var rec func(i int, f frame)
 	rec = func(i int, f frame) {
 		if i == pr.p {
 			nxCopy := make([]int, pr.p)
 			copy(nxCopy, nx)
-			emit(f.config, nxCopy, f.faults)
+			emit(f.config, nxCopy, f)
 			if forcing {
 				// Voluntary evictions, equivalent to a sim.Ticker firing
 				// at the start of the next step: drop any subset of the
@@ -148,7 +114,7 @@ func (pr *prep) seqTransition(st *ftfSeqState, k int, forcing bool, emit func([]
 				rf = func(start int) {
 					for d := start; d < len(removable); d++ {
 						drop = append(drop, removable[d])
-						emit(removeIdx(f.config, drop), nxCopy, f.faults)
+						emit(removeIdx(f.config, drop), nxCopy, f)
 						rf(d + 1)
 						drop = drop[:len(drop)-1]
 					}
@@ -177,25 +143,28 @@ func (pr *prep) seqTransition(st *ftfSeqState, k int, forcing bool, emit func([]
 			nx[i] = xi
 			return
 		}
-		// Fault.
+		// Fault. Frames never mutate their inflight set, so every branch
+		// of this fault shares one.
 		nx[i] = xi + 1
 		base := insertSorted(f.config, pg)
-		nf := f.faults + 1
-		ninf := f.inflight
-		addInflight := func() map[core.PageID]bool {
-			m := make(map[core.PageID]bool, len(ninf)+1)
-			maps.Copy(m, ninf)
-			m[pg] = true
-			return m
+		inflight := make(map[core.PageID]bool, len(f.inflight)+1)
+		maps.Copy(inflight, f.inflight)
+		inflight[pg] = true
+		next := func(config []core.PageID, victim core.PageID) frame {
+			nf := frame{config: config, inflight: inflight, faults: f.faults + 1}
+			if trace {
+				nf.decs = append(slices.Clip(f.decs), Decision{Core: i, Page: pg, Victim: victim})
+			}
+			return nf
 		}
 		if len(base) <= k {
-			rec(i+1, frame{config: base, inflight: addInflight(), faults: nf})
+			rec(i+1, next(base, core.NoPage))
 		} else {
 			for vi, v := range base {
 				if v == pg || f.inflight[v] {
 					continue
 				}
-				rec(i+1, frame{config: removeIdx(base, []int{vi}), inflight: addInflight(), faults: nf})
+				rec(i+1, next(removeIdx(base, []int{vi}), v))
 			}
 		}
 		nx[i] = xi

@@ -98,7 +98,7 @@ func TestSeqSequentialBelady(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := mattson.OPTMisses(seq, k); sol.Faults != want {
+		if want := mattson.OPTCurve(seq, k)[k]; sol.Faults != want {
 			t.Fatalf("trial %d: seq DP %d != Belady %d", trial, sol.Faults, want)
 		}
 	}

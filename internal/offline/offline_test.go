@@ -53,7 +53,7 @@ func TestFTFSequentialMatchesBelady(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if want := mattson.OPTMisses(seq, k); sol.Faults != want {
+		if want := mattson.OPTCurve(seq, k)[k]; sol.Faults != want {
 			t.Fatalf("trial %d seq=%v K=%d: DP=%d Belady=%d", trial, seq, k, sol.Faults, want)
 		}
 	}
@@ -74,7 +74,7 @@ func TestFTFSequentialWithTau(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := mattson.OPTMisses(seq, k); sol.Faults != want {
+		if want := mattson.OPTCurve(seq, k)[k]; sol.Faults != want {
 			t.Fatalf("trial %d: DP=%d Belady=%d (τ=%d)", trial, sol.Faults, want, tau)
 		}
 	}

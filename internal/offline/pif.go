@@ -2,7 +2,6 @@ package offline
 
 import (
 	"fmt"
-	"sort"
 
 	"mcpaging/internal/core"
 )
@@ -248,12 +247,7 @@ func DecidePIF(pi PIFInstance, opts Options) (bool, PIFStats, error) {
 		// Iterate states in sorted key order so the search (and its
 		// reported effort) is deterministic: the early accept below can
 		// fire mid-bucket.
-		keys := make([]string, 0, len(buckets[sum]))
-		for k := range buckets[sum] {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
+		for _, key := range sortedStateKeys(buckets[sum]) {
 			st := buckets[sum][key]
 			stats.States++
 			if stats.States > limit {

@@ -2,6 +2,7 @@ package offline_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -191,5 +192,19 @@ func TestReplayerTailCompletes(t *testing.T) {
 	}
 	if res.TotalFaults()+res.TotalHits() != 6 {
 		t.Fatal("run did not complete")
+	}
+}
+
+// TestScheduleRejectsForcing: the schedule solver refuses AllowForcing
+// instead of silently solving the honest problem, since a Replayer cannot
+// replay voluntary evictions.
+func TestScheduleRejectsForcing(t *testing.T) {
+	in := core.Instance{R: core.RequestSet{{1, 2, 1}}, P: core.Params{K: 2}}
+	_, sched, err := offline.SolveFTFSeqSchedule(in, offline.Options{AllowForcing: true})
+	if err == nil || !strings.Contains(err.Error(), "AllowForcing") {
+		t.Fatalf("err = %v, want an error naming AllowForcing", err)
+	}
+	if sched != nil {
+		t.Fatalf("schedule %v returned with the error", sched)
 	}
 }
