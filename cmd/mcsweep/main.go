@@ -24,8 +24,6 @@ import (
 	"strconv"
 	"strings"
 
-	"mcpaging/internal/capacity"
-	"mcpaging/internal/core"
 	"mcpaging/internal/metrics"
 	"mcpaging/internal/sim"
 	"mcpaging/internal/sweep"
@@ -109,23 +107,14 @@ func main() {
 		pages := len(rs.Universe())
 		grid.Observe = func(pt sweep.Point) (sim.Observer, func(sim.Result) error) {
 			name := fmt.Sprintf("k%d_tau%d_%s", pt.K, pt.Tau, telemetry.SanitizeLabel(pt.Spec))
-			params := core.Params{K: pt.K, Tau: pt.Tau}
 			if pt.Capacity != "" {
-				// Grid.Validate parsed this pair already, but a trace file
-				// can change underneath us; record the failure on the point
-				// rather than silently labelling its telemetry fixed-capacity.
-				sched, serr := capacity.ParseSchedule(pt.Capacity, pt.K)
-				if serr != nil {
-					return nil, func(sim.Result) error { return serr }
-				}
-				params.Capacity = sched
 				name += "_" + telemetry.SanitizeLabel(pt.Capacity)
 			}
 			sess, err := telemetry.Start(telemetry.SessionConfig{
 				Dir: filepath.Join(*telemDir, name),
 				Collector: telemetry.Config{
 					Cores:  rs.NumCores(),
-					Params: params,
+					Params: pt.Params,
 					Window: *telemWin,
 				},
 				Manifest: telemetry.Manifest{

@@ -91,12 +91,6 @@ func (a *ARC) Resize(c int) {
 	}
 }
 
-// Surrender implements Policy: a shrinking part gives up ARC's REPLACE
-// victim, exactly as Evict would choose without ghost-hit context.
-func (a *ARC) Surrender(evictable func(core.PageID) bool) (core.PageID, bool) {
-	return a.Evict(evictable)
-}
-
 // adjust applies ARC's p̂ update for a miss on page x, once per miss.
 func (a *ARC) adjust(x core.PageID) {
 	if a.hasAdjusted && a.adjustedFor == x {

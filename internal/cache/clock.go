@@ -135,8 +135,3 @@ func (c *Clock) Reset() {
 
 // Resize implements Policy: CLOCK's victim choice is capacity-independent.
 func (c *Clock) Resize(int) {}
-
-// Surrender implements Policy: same victim as Evict (the hand sweeps).
-func (c *Clock) Surrender(evictable func(core.PageID) bool) (core.PageID, bool) {
-	return c.Evict(evictable)
-}

@@ -141,9 +141,3 @@ func (f *FITF) Reset() {
 
 // Resize implements Policy: FITF's victim choice is capacity-independent.
 func (f *FITF) Resize(int) {}
-
-// Surrender implements Policy: same victim as Evict (the page whose next
-// request is furthest in the future).
-func (f *FITF) Surrender(evictable func(core.PageID) bool) (core.PageID, bool) {
-	return f.Evict(evictable)
-}

@@ -107,8 +107,3 @@ func (l *LFU) Reset() {
 
 // Resize implements Policy: LFU's victim choice is capacity-independent.
 func (l *LFU) Resize(int) {}
-
-// Surrender implements Policy: same victim as Evict.
-func (l *LFU) Surrender(evictable func(core.PageID) bool) (core.PageID, bool) {
-	return l.Evict(evictable)
-}

@@ -231,12 +231,6 @@ func (l *LRU) Reset() { l.r.reset() }
 // Resize implements Policy: LRU's victim choice is capacity-independent.
 func (l *LRU) Resize(int) {}
 
-// Surrender implements Policy: a shrinking LRU part gives up its least
-// recently used page — the same page Evict would choose.
-func (l *LRU) Surrender(evictable func(core.PageID) bool) (core.PageID, bool) {
-	return l.r.evictFront(evictable)
-}
-
 // LeastRecent returns the least recently used page currently in the
 // domain without removing it. It is used by the Lemma-3 dynamic
 // partition, which must locate the globally least recent page across
@@ -287,11 +281,6 @@ func (m *MRU) Reset() { m.r.reset() }
 // Resize implements Policy: MRU's victim choice is capacity-independent.
 func (m *MRU) Resize(int) {}
 
-// Surrender implements Policy: same victim as Evict.
-func (m *MRU) Surrender(evictable func(core.PageID) bool) (core.PageID, bool) {
-	return m.r.evictBack(evictable)
-}
-
 // FIFO evicts the page that has been in the domain longest, regardless of
 // hits. It is a conservative policy, so Lemma 1's upper bound applies to
 // it.
@@ -328,8 +317,3 @@ func (f *FIFO) Reset() { f.r.reset() }
 
 // Resize implements Policy: FIFO's victim choice is capacity-independent.
 func (f *FIFO) Resize(int) {}
-
-// Surrender implements Policy: same victim as Evict.
-func (f *FIFO) Surrender(evictable func(core.PageID) bool) (core.PageID, bool) {
-	return f.r.evictFront(evictable)
-}

@@ -132,9 +132,3 @@ func (m *Marking) Reset() {
 
 // Resize implements Policy: MARK's victim choice is capacity-independent.
 func (m *Marking) Resize(int) {}
-
-// Surrender implements Policy: same victim as Evict (the least recent
-// unmarked page, opening a new phase if all are marked).
-func (m *Marking) Surrender(evictable func(core.PageID) bool) (core.PageID, bool) {
-	return m.Evict(evictable)
-}

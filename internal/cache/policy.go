@@ -69,17 +69,9 @@ type Policy interface {
 	// segment split, TinyLFU's admission window) tracks the part it
 	// serves. Policies whose victim choice is capacity-independent
 	// (LRU, FIFO, ...) treat it as a no-op. Resize never evicts: when a
-	// part shrinks, the strategy drains the overage via Surrender.
+	// part shrinks, the strategy drains the overage through Evict, so
+	// shrinking a part by one cell gives up exactly the policy's victim.
 	Resize(n int)
-	// Surrender is the shrink half of the partition contract: it removes
-	// and returns the page the policy gives up when its domain loses a
-	// cell without a replacement being inserted (a dynamic partition
-	// moving a cell to another core). The victim must come from the
-	// domain and honour the evictable predicate exactly like Evict; for
-	// every policy in this package the surrendered page is the page
-	// Evict would have chosen, so shrinking a part by one cell evicts
-	// exactly the policy's victim. ok is false if nothing qualifies.
-	Surrender(evictable func(core.PageID) bool) (victim core.PageID, ok bool)
 }
 
 // Oracle provides future knowledge to offline policies such as FITF. The

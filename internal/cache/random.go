@@ -86,9 +86,3 @@ func (r *Random) Reset() {
 
 // Resize implements Policy: RAND's victim choice is capacity-independent.
 func (r *Random) Resize(int) {}
-
-// Surrender implements Policy: same victim as Evict (consumes one draw
-// from the seeded generator).
-func (r *Random) Surrender(evictable func(core.PageID) bool) (core.PageID, bool) {
-	return r.Evict(evictable)
-}

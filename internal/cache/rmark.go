@@ -120,9 +120,3 @@ func (m *RMark) Reset() {
 
 // Resize implements Policy: RMARK's victim choice is capacity-independent.
 func (m *RMark) Resize(int) {}
-
-// Surrender implements Policy: same victim as Evict (a random unmarked
-// page; consumes one draw from the seeded generator).
-func (m *RMark) Surrender(evictable func(core.PageID) bool) (core.PageID, bool) {
-	return m.Evict(evictable)
-}

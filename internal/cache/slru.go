@@ -101,12 +101,6 @@ func (s *SLRU) evictExact(p core.PageID) bool {
 	return s.prob.remove(p) || s.prot.remove(p)
 }
 
-// Surrender implements Policy: same victim as Evict (probationary LRU
-// first, protected LRU as the fallback).
-func (s *SLRU) Surrender(evictable func(core.PageID) bool) (core.PageID, bool) {
-	return s.Evict(evictable)
-}
-
 // Remove implements Policy.
 func (s *SLRU) Remove(p core.PageID) bool { return s.prob.remove(p) || s.prot.remove(p) }
 
@@ -221,8 +215,3 @@ func (l *LRU2) Reset() {
 
 // Resize implements Policy: LRU-2's victim choice is capacity-independent.
 func (l *LRU2) Resize(int) {}
-
-// Surrender implements Policy: same victim as Evict.
-func (l *LRU2) Surrender(evictable func(core.PageID) bool) (core.PageID, bool) {
-	return l.Evict(evictable)
-}

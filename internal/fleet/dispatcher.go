@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"mcpaging/internal/capacity"
 	"mcpaging/internal/core"
 	"mcpaging/internal/server"
 	"mcpaging/internal/sweep"
@@ -100,24 +99,10 @@ func NewDispatcher(reg *Registry, cfg DispatcherConfig, clk Clock, met *fleetMet
 // content-addressed key (failing over along the ring), and returns the
 // worker's response plus the serving worker's ID.
 func (d *Dispatcher) RunJob(ctx context.Context, req server.JobRequest) (server.JobResponse, string, error) {
-	rs, err := req.Trace.Resolve(d.cfg.MaxRequests)
+	_, _, key, err := req.Resolve(d.cfg.MaxRequests)
 	if err != nil {
 		return server.JobResponse{}, "", errPermanent{status: http.StatusBadRequest, msg: err.Error()}
 	}
-	params := core.Params{K: req.K, Tau: req.Tau}
-	if req.Capacity != "" {
-		// Portable families only: a tenant-supplied spec must never name
-		// a file on the coordinator or a worker.
-		sched, serr := capacity.ParsePortableSchedule(req.Capacity, req.K)
-		if serr != nil {
-			return server.JobResponse{}, "", errPermanent{status: http.StatusBadRequest, msg: serr.Error()}
-		}
-		params.Capacity = sched
-	}
-	if err := params.Validate(); err != nil {
-		return server.JobResponse{}, "", errPermanent{status: http.StatusBadRequest, msg: err.Error()}
-	}
-	key := server.JobKey(rs, req.Strategy, params, req.Seed)
 	d.met.jobs.Add(1)
 	return d.routeCell(ctx, key, req)
 }
@@ -209,55 +194,20 @@ func (d *Dispatcher) roundDelay(round int) time.Duration {
 	return delay/2 + time.Duration(d.rng.Int63n(int64(delay/2)+1))
 }
 
-// Sweep fans req's grid across the fleet and streams one SweepLine per
-// cell to w as JSONL in canonical grid order (K-major, then τ, then
-// spec — sweep.Cells order, byte-compatible with mcservd's own
+// Sweep fans a resolved sweep's cells across the fleet and streams one
+// SweepLine per cell to w as JSONL in canonical grid order (K-major,
+// then τ, then capacity, then spec — byte-compatible with mcservd's own
 // /v1/sweep stream). Cells are submitted in grid order under the
-// fleet-wide inflight bound (blocking enqueue); results arriving out
-// of order are re-merged by the emit loop, which waits on each cell in
-// turn. Returns the cell count on success for admission accounting.
-func (d *Dispatcher) Sweep(ctx context.Context, req server.SweepRequest, w io.Writer) error {
-	rs, grid, err := d.ResolveGrid(req)
-	if err != nil {
-		return err
-	}
-	return d.sweepResolved(ctx, rs, grid, req, w)
-}
-
-// ResolveGrid materialises and validates a sweep request's workload
-// and grid. Validation errors are permanent (tenant errors), never
-// worker failures.
-func (d *Dispatcher) ResolveGrid(req server.SweepRequest) (core.RequestSet, sweep.Grid, error) {
-	rs, err := req.Trace.Resolve(d.cfg.MaxRequests)
-	if err != nil {
-		return nil, sweep.Grid{}, errPermanent{status: http.StatusBadRequest, msg: err.Error()}
-	}
-	grid := sweep.Grid{R: rs, Ks: req.Ks, Taus: req.Taus, Capacities: req.Capacities,
-		Specs: req.Strategies, Seed: req.Seed, PortableOnly: true}
-	if err := grid.Validate(); err != nil {
-		return nil, sweep.Grid{}, errPermanent{status: http.StatusBadRequest, msg: err.Error()}
-	}
-	return rs, grid, nil
-}
-
-// sweepResolved is Sweep after resolution — the gateway calls this so
-// it can admit on the cell count before any worker is touched.
-func (d *Dispatcher) sweepResolved(ctx context.Context, rs core.RequestSet, grid sweep.Grid, req server.SweepRequest, w io.Writer) error {
-	cells := grid.Cells()
+// fleet-wide inflight bound (blocking enqueue); results arriving out of
+// order are re-merged by the emit loop, which waits on each cell in
+// turn. rs and cells come from req.Resolve, which the gateway runs
+// first so it can admit on the cell count before any worker is touched.
+func (d *Dispatcher) Sweep(ctx context.Context, rs core.RequestSet, cells []sweep.Cell, req server.SweepRequest, w io.Writer) error {
 	d.met.sweeps.Add(1)
 
-	type slot struct {
-		line server.SweepLine
-	}
-	results := make([]chan slot, len(cells))
+	results := make([]chan server.SweepLine, len(cells))
 	for i := range results {
-		results[i] = make(chan slot, 1)
-	}
-	// Cells forward the compact input form; workers resolve it
-	// themselves and arrive at the same content-addressed key.
-	jobOf := func(c sweep.Cell) server.JobRequest {
-		return server.JobRequest{Trace: req.Trace, Strategy: c.Spec, K: c.K, Tau: c.Tau,
-			Capacity: c.Capacity, Seed: req.Seed}
+		results[i] = make(chan server.SweepLine, 1)
 	}
 
 	sem := make(chan struct{}, d.cfg.MaxInflight)
@@ -275,26 +225,12 @@ func (d *Dispatcher) sweepResolved(ctx context.Context, rs core.RequestSet, grid
 				defer func() { <-sem }()
 				d.met.cellsInflight.Add(1)
 				defer d.met.cellsInflight.Add(-1)
-				params := core.Params{K: c.K, Tau: c.Tau}
-				line := server.SweepLine{K: c.K, Tau: c.Tau, Capacity: c.Capacity, Spec: c.Spec}
-				if c.Capacity != "" {
-					// Grid.Validate (PortableOnly) parsed this pair already,
-					// but fail the cell rather than discard the error: a
-					// silently nil schedule would key and route the cell as
-					// fixed-capacity while the forwarded request still
-					// carries the elastic spec.
-					sched, serr := capacity.ParsePortableSchedule(c.Capacity, c.K)
-					if serr != nil {
-						d.met.cellErrors.Add(1)
-						line.Error = serr.Error()
-						results[i] <- slot{line: line}
-						return
-					}
-					params.Capacity = sched
-				}
-				key := server.JobKey(rs, c.Spec, params, req.Seed)
-				line.Key = key
-				resp, _, err := d.routeCell(ctx, key, jobOf(c))
+				key := server.JobKey(rs, c.Spec, c.Params, req.Seed)
+				line := server.SweepLine{K: c.K, Tau: c.Tau, Capacity: c.Capacity, Spec: c.Spec, Key: key}
+				// Cells forward the compact input form; workers resolve it
+				// themselves and arrive at the same content-addressed key.
+				resp, _, err := d.routeCell(ctx, key, server.JobRequest{Trace: req.Trace,
+					Strategy: c.Spec, K: c.K, Tau: c.Tau, Capacity: c.Capacity, Seed: req.Seed})
 				if err != nil {
 					d.met.cellErrors.Add(1)
 					line.Error = err.Error()
@@ -303,7 +239,7 @@ func (d *Dispatcher) sweepResolved(ctx context.Context, rs core.RequestSet, grid
 					line.Cached = resp.Cached
 					line.Result = &resp.Result
 				}
-				results[i] <- slot{line: line}
+				results[i] <- line
 			}()
 		}
 	}()
@@ -312,8 +248,8 @@ func (d *Dispatcher) sweepResolved(ctx context.Context, rs core.RequestSet, grid
 	flusher, _ := w.(http.Flusher)
 	for i := range cells {
 		select {
-		case s := <-results[i]:
-			if err := enc.Encode(s.line); err != nil {
+		case line := <-results[i]:
+			if err := enc.Encode(line); err != nil {
 				return err
 			}
 			if flusher != nil {

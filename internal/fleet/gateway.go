@@ -1,12 +1,9 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -177,30 +174,26 @@ func tenantOf(r *http.Request) string {
 	return "default"
 }
 
-func (g *Gateway) retryAfterHint() string {
-	return strconv.Itoa(int((g.cfg.RetryAfter + time.Second - 1) / time.Second))
-}
-
 // gate runs the admission pipeline shared by the job and sweep
 // endpoints: drain check, saturation shedding, then the tenant quota.
 // It reports whether the request may proceed, writing the refusal
 // itself when not.
 func (g *Gateway) gate(w http.ResponseWriter, r *http.Request, cost float64) bool {
 	if !g.ready() {
-		w.Header().Set("Retry-After", g.retryAfterHint())
-		httpError(w, http.StatusServiceUnavailable, "coordinator draining")
+		server.SetRetryAfter(w, g.cfg.RetryAfter)
+		server.HTTPError(w, http.StatusServiceUnavailable, "coordinator draining")
 		return false
 	}
 	if g.met.cellsInflight.Load() >= int64(g.cfg.ShedInflight) {
 		g.met.shed.Add(1)
-		w.Header().Set("Retry-After", g.retryAfterHint())
-		httpError(w, http.StatusTooManyRequests, "fleet saturated: %d cells in flight", g.met.cellsInflight.Load())
+		server.SetRetryAfter(w, g.cfg.RetryAfter)
+		server.HTTPError(w, http.StatusTooManyRequests, "fleet saturated: %d cells in flight", g.met.cellsInflight.Load())
 		return false
 	}
 	if !g.admit(tenantOf(r), cost) {
 		g.met.quotaDenied.Add(1)
-		w.Header().Set("Retry-After", g.retryAfterHint())
-		httpError(w, http.StatusTooManyRequests, "tenant %q over quota (%g cells): retry later", tenantOf(r), cost)
+		server.SetRetryAfter(w, g.cfg.RetryAfter)
+		server.HTTPError(w, http.StatusTooManyRequests, "tenant %q over quota (%g cells): retry later", tenantOf(r), cost)
 		return false
 	}
 	return true
@@ -212,7 +205,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (g *Gateway) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if !g.ready() {
-		w.Header().Set("Retry-After", g.retryAfterHint())
+		server.SetRetryAfter(w, g.cfg.RetryAfter)
 		w.WriteHeader(http.StatusServiceUnavailable)
 		io.WriteString(w, "draining\n")
 		return
@@ -226,7 +219,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (g *Gateway) handleWorkers(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	server.WriteJSON(w, http.StatusOK, struct {
 		Ring    []string     `json:"ring"`
 		Workers []WorkerInfo `json:"workers"`
 	}{g.reg.Ring().Members(), g.reg.Snapshot()})
@@ -251,23 +244,20 @@ func (g *Gateway) handleStrategies(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(body)
 		return
 	}
-	httpError(w, http.StatusBadGateway, "no worker answered /strategies: %v", lastErr)
+	server.HTTPError(w, http.StatusBadGateway, "no worker answered /strategies: %v", lastErr)
 }
 
 // handleJob admits one job (cost: one cell) and routes it through the
 // dispatcher, passing the worker's response through unchanged and
 // naming the serving worker in Fleet-Worker-ID.
 func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, g.cfg.MaxBody)
-	var req server.JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding job: %v", err)
+	req, err := server.ReadJob(w, r, g.cfg.MaxBody)
+	if err != nil {
+		server.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.Strategy == "" {
-		httpError(w, http.StatusBadRequest, "strategy is required")
-		return
-	}
+	// Admission comes before resolution, so drain, shed and quota
+	// refusals take precedence over a bad instance.
 	if !g.gate(w, r, 1) {
 		return
 	}
@@ -277,28 +267,27 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 	defer g.met.cellsInflight.Add(-1)
 	resp, workerID, err := g.disp.RunJob(r.Context(), req)
 	if err != nil {
-		writeRouteError(w, err, g.retryAfterHint())
+		writeRouteError(w, err, g.cfg.RetryAfter)
 		return
 	}
 	w.Header().Set("Fleet-Worker-ID", workerID)
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleSweep admits a sweep (cost: its cell count) and streams the
 // dispatcher's canonically ordered JSONL merge.
 func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, g.cfg.MaxBody)
-	var req server.SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding sweep: %v", err)
-		return
-	}
-	rs, grid, err := g.disp.ResolveGrid(req)
+	req, err := server.ReadSweep(w, r, g.cfg.MaxBody)
 	if err != nil {
-		writeRouteError(w, err, g.retryAfterHint())
+		server.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !g.gate(w, r, float64(len(grid.Cells()))) {
+	rs, cells, err := req.Resolve(g.disp.cfg.MaxRequests)
+	if err != nil {
+		server.HTTPError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if !g.gate(w, r, float64(len(cells))) {
 		return
 	}
 	g.inflight.Add(1)
@@ -307,34 +296,21 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	// Per-cell failures are reported in-line on each cell's JSONL row;
 	// an error here means the stream itself died (client gone).
-	_ = g.disp.sweepResolved(r.Context(), rs, grid, req, w)
+	_ = g.disp.Sweep(r.Context(), rs, cells, req, w)
 }
 
 // writeRouteError maps a dispatcher error onto the gateway's response:
 // tenant errors pass the worker's status through, fleet saturation and
 // drain surface as 503 with a Retry-After hint, anything else is 502.
-func writeRouteError(w http.ResponseWriter, err error, retryAfter string) {
+func writeRouteError(w http.ResponseWriter, err error, retryAfter time.Duration) {
 	var perm errPermanent
 	switch {
 	case errors.As(err, &perm):
-		httpError(w, perm.StatusCode(), "%v", perm)
+		server.HTTPError(w, perm.StatusCode(), "%v", perm)
 	case errors.Is(err, errWorkerBusy):
-		w.Header().Set("Retry-After", retryAfter)
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		server.SetRetryAfter(w, retryAfter)
+		server.HTTPError(w, http.StatusServiceUnavailable, "%v", err)
 	default:
-		httpError(w, http.StatusBadGateway, "%v", err)
+		server.HTTPError(w, http.StatusBadGateway, "%v", err)
 	}
-}
-
-// writeJSON writes v as a JSON response with the given status.
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// httpError writes a JSON error body {"error": "..."}, the same shape
-// mcservd uses so fleet and single-node clients share error handling.
-func httpError(w http.ResponseWriter, status int, format string, args ...interface{}) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }

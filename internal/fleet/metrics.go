@@ -1,10 +1,10 @@
 package fleet
 
 import (
-	"fmt"
 	"io"
-	"strings"
 	"sync/atomic"
+
+	"mcpaging/internal/telemetry"
 )
 
 // fleetMetrics holds the coordinator counters exposed on /metrics.
@@ -31,35 +31,29 @@ type fleetMetrics struct {
 // per-worker gauge families labelled by worker ID in sorted order, so
 // scrapes are stable.
 func (m *fleetMetrics) writePrometheus(w io.Writer, workers []WorkerInfo, tenants int, ready bool) error {
-	var b strings.Builder
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counter("mcfleet_jobs_total", "Single jobs routed onto the fleet.", m.jobs.Load())
-	counter("mcfleet_sweeps_total", "Sweeps accepted by the coordinator.", m.sweeps.Load())
-	counter("mcfleet_cells_total", "Sweep cells completed successfully.", m.cells.Load())
-	counter("mcfleet_cell_errors_total", "Sweep cells that failed after retry and failover.", m.cellErrors.Load())
-	counter("mcfleet_routed_owner_total", "Cells served by their consistent-hash ring owner.", m.routedOwner.Load())
-	counter("mcfleet_routed_spill_total", "Cells spilled to a ring successor (owner saturated or down).", m.routedSpill.Load())
-	counter("mcfleet_failovers_total", "Hard worker failures observed while routing.", m.failovers.Load())
-	counter("mcfleet_retry_rounds_total", "Failover rotations that exhausted all candidates and backed off.", m.retryRounds.Load())
-	counter("mcfleet_quota_denied_total", "Requests bounced by a per-tenant quota.", m.quotaDenied.Load())
-	counter("mcfleet_shed_total", "Requests shed because the fleet was saturated.", m.shed.Load())
-	gauge("mcfleet_cells_inflight", "Sweep cells currently in flight.", float64(m.cellsInflight.Load()))
-	gauge("mcfleet_tenants", "Tenants with an active quota bucket.", float64(tenants))
+	var p telemetry.Prom
+	p.Counter("mcfleet_jobs_total", "Single jobs routed onto the fleet.", m.jobs.Load())
+	p.Counter("mcfleet_sweeps_total", "Sweeps accepted by the coordinator.", m.sweeps.Load())
+	p.Counter("mcfleet_cells_total", "Sweep cells completed successfully.", m.cells.Load())
+	p.Counter("mcfleet_cell_errors_total", "Sweep cells that failed after retry and failover.", m.cellErrors.Load())
+	p.Counter("mcfleet_routed_owner_total", "Cells served by their consistent-hash ring owner.", m.routedOwner.Load())
+	p.Counter("mcfleet_routed_spill_total", "Cells spilled to a ring successor (owner saturated or down).", m.routedSpill.Load())
+	p.Counter("mcfleet_failovers_total", "Hard worker failures observed while routing.", m.failovers.Load())
+	p.Counter("mcfleet_retry_rounds_total", "Failover rotations that exhausted all candidates and backed off.", m.retryRounds.Load())
+	p.Counter("mcfleet_quota_denied_total", "Requests bounced by a per-tenant quota.", m.quotaDenied.Load())
+	p.Counter("mcfleet_shed_total", "Requests shed because the fleet was saturated.", m.shed.Load())
+	p.Gauge("mcfleet_cells_inflight", "Sweep cells currently in flight.", float64(m.cellsInflight.Load()))
+	p.Gauge("mcfleet_tenants", "Tenants with an active quota bucket.", float64(tenants))
 	readyVal := 0.0
 	if ready {
 		readyVal = 1
 	}
-	gauge("mcfleet_ready", "1 while the coordinator admits work, 0 once draining.", readyVal)
+	p.Gauge("mcfleet_ready", "1 while the coordinator admits work, 0 once draining.", readyVal)
 
 	labelled := func(name, help, typ string, value func(WorkerInfo) float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+		p.Family(name, help, typ)
 		for _, wi := range workers {
-			fmt.Fprintf(&b, "%s{worker=%q} %g\n", name, wi.ID, value(wi))
+			p.LabelledFloat(name, "worker", wi.ID, value(wi))
 		}
 	}
 	labelled("mcfleet_worker_up", "1 while the worker is healthy, 0 while draining or down.", "gauge", func(wi WorkerInfo) float64 {
@@ -83,6 +77,6 @@ func (m *fleetMetrics) writePrometheus(w io.Writer, workers []WorkerInfo, tenant
 	labelled("mcfleet_worker_probe_fails_total", "Failed /readyz probes against this worker.", "counter", func(wi WorkerInfo) float64 {
 		return float64(wi.ProbeFails)
 	})
-	_, err := io.WriteString(w, b.String())
+	_, err := p.WriteTo(w)
 	return err
 }

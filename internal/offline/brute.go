@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"mcpaging/internal/core"
+	"mcpaging/internal/sim"
 )
 
 // This file implements exhaustive reference solvers that mirror the
@@ -103,7 +104,7 @@ func newBruteSearcher(inst core.Instance, mode victimMode) (*bruteSearcher, erro
 		return nil, err
 	}
 	if !inst.R.Disjoint() {
-		return nil, errNotDisjoint()
+		return nil, sim.ErrNotDisjoint
 	}
 	bs := &bruteSearcher{
 		inst:  inst,
@@ -120,13 +121,6 @@ func newBruteSearcher(inst core.Instance, mode victimMode) (*bruteSearcher, erro
 		}
 	}
 	return bs, nil
-}
-
-func errNotDisjoint() error {
-	// Local alias avoids importing sim just for the sentinel; the DP
-	// solvers return sim.ErrNotDisjoint via newPrep, and callers that
-	// care compare messages.
-	return errNotDisjointSentinel
 }
 
 // nextUseOf returns the next occurrence index of page pg in its owning

@@ -314,10 +314,6 @@ var ErrStateLimit = fmt.Errorf("offline: state limit exceeded")
 // required evicting a pinned or in-flight page).
 var errNoSchedule = fmt.Errorf("offline: no feasible schedule")
 
-// errNotDisjointSentinel mirrors sim.ErrNotDisjoint for the brute
-// searchers (newPrep returns the sim sentinel itself).
-var errNotDisjointSentinel = fmt.Errorf("offline: request set is not disjoint")
-
 // sortedStateKeys returns a DP bucket's keys in sorted order. The
 // solvers iterate buckets through this helper so that exploration
 // order — and with it branch pruning, state-limit accounting and

@@ -546,3 +546,33 @@ func TestAblationFlagsPreserveResults(t *testing.T) {
 		}
 	}
 }
+
+// TestNonDisjointRejectedEverywhere requires every DP and brute-force
+// entry point to refuse a request set whose cores share a page with
+// sim.ErrNotDisjoint itself, so callers can test for it with errors.Is.
+func TestNonDisjointRejectedEverywhere(t *testing.T) {
+	in := inst(3, 1, core.Sequence{1, 2}, core.Sequence{2, 3})
+	pi := offline.PIFInstance{Inst: in, T: 4, Bounds: []int64{2, 2}}
+	opts := offline.Options{}
+	entries := []struct {
+		name string
+		run  func() error
+	}{
+		{"SolveFTF", func() error { _, err := offline.SolveFTF(in, opts); return err }},
+		{"SolveFTFSeq", func() error { _, err := offline.SolveFTFSeq(in, opts); return err }},
+		{"SolveFTFSeqSchedule", func() error { _, _, err := offline.SolveFTFSeqSchedule(in, opts); return err }},
+		{"MinUniformBound", func() error { _, err := offline.MinUniformBound(in, 4, opts); return err }},
+		{"ParetoFrontier", func() error { _, err := offline.ParetoFrontier(in, 4, opts); return err }},
+		{"DecidePIF", func() error { _, _, err := offline.DecidePIF(pi, opts); return err }},
+		{"BruteFTF", func() error { _, err := offline.BruteFTF(in); return err }},
+		{"BruteFTFFITF", func() error { _, err := offline.BruteFTFFITF(in); return err }},
+		{"BruteFTFUnpinned", func() error { _, err := offline.BruteFTFUnpinned(in); return err }},
+		{"WitnessPIF", func() error { _, _, err := offline.WitnessPIF(pi); return err }},
+		{"BrutePIF", func() error { _, err := offline.BrutePIF(pi); return err }},
+	}
+	for _, e := range entries {
+		if err := e.run(); !errors.Is(err, sim.ErrNotDisjoint) {
+			t.Errorf("%s: err %v, want sim.ErrNotDisjoint", e.name, err)
+		}
+	}
+}

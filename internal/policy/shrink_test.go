@@ -91,7 +91,7 @@ func TestShrinkSurrendersPolicyVictim(t *testing.T) {
 
 			// Predict part 0's victim after the quota cut, then tick.
 			twin.Resize(2)
-			want, ok := twin.Surrender(func(core.PageID) bool { return true })
+			want, ok := twin.Evict(nil)
 			if !ok {
 				t.Fatal("twin refused to surrender")
 			}

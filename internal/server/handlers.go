@@ -10,10 +10,7 @@ import (
 	"strconv"
 	"time"
 
-	"mcpaging/internal/capacity"
-	"mcpaging/internal/core"
 	"mcpaging/internal/strategyspec"
-	"mcpaging/internal/sweep"
 	"mcpaging/internal/telemetry"
 )
 
@@ -26,17 +23,24 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 }
 
-// writeJSON writes v as a JSON response with the given status.
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+// WriteJSON writes v as a JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
-// httpError writes a JSON error body {"error": "..."}.
-func httpError(w http.ResponseWriter, status int, format string, args ...interface{}) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+// HTTPError writes a JSON error body {"error": "..."}: the one error
+// shape of mcservd and mcfleet, so clients of either share handling.
+func HTTPError(w http.ResponseWriter, status int, format string, args ...interface{}) {
+	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// SetRetryAfter sets the Retry-After hint of a refusal in whole seconds,
+// rounded up — the one format of every 429 and 503 either service
+// sends, so clients back off uniformly.
+func SetRetryAfter(w http.ResponseWriter, d time.Duration) {
+	w.Header().Set("Retry-After", strconv.Itoa(int((d+time.Second-1)/time.Second)))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -45,19 +49,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if !s.ready() {
-		w.Header().Set("Retry-After", s.retryAfterHint())
+		SetRetryAfter(w, s.cfg.RetryAfter)
 		w.WriteHeader(http.StatusServiceUnavailable)
 		io.WriteString(w, "draining\n")
 		return
 	}
 	io.WriteString(w, "ready\n")
-}
-
-// retryAfterHint renders the configured Retry-After hint in whole
-// seconds (rounded up), the format both the 429 queue-full and the 503
-// draining responses share so clients can back off uniformly.
-func (s *Server) retryAfterHint() string {
-	return strconv.Itoa(int((s.cfg.RetryAfter + time.Second - 1) / time.Second))
 }
 
 // handleMetrics serves the server-level counters followed by the
@@ -77,7 +74,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleStrategies(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Strategies []strategyspec.Combo `json:"strategies"`
 	}{strategyspec.List()})
 }
@@ -85,51 +82,30 @@ func (s *Server) handleStrategies(w http.ResponseWriter, _ *http.Request) {
 // handleJob serves POST /v1/jobs: resolve → canonical key → cache →
 // queue → worker → respond. See docs/server.md for the lifecycle.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding job: %v", err)
-		return
-	}
-	if req.Strategy == "" {
-		httpError(w, http.StatusBadRequest, "strategy is required")
-		return
-	}
-	params := core.Params{K: req.K, Tau: req.Tau}
-	if req.Capacity != "" {
-		// Portable families only: a client-supplied spec must never name
-		// a file on the server.
-		sched, err := capacity.ParsePortableSchedule(req.Capacity, req.K)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		params.Capacity = sched
-	}
-	if err := params.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	rs, err := req.Trace.Resolve(s.cfg.MaxRequests)
+	req, err := ReadJob(w, r, s.cfg.MaxBody)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	key := JobKey(rs, req.Strategy, params, req.Seed)
+	rs, params, key, err := req.Resolve(s.cfg.MaxRequests)
+	if err != nil {
+		HTTPError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	// Cache lookup with per-key singleflight: concurrent misses on one
 	// key elect a leader that computes; followers wait for the flight
 	// to finish and re-check the cache instead of duplicating the run.
 	for {
 		if v, ok := s.cache.get(key); ok {
-			writeJSON(w, http.StatusOK, JobResponse{Key: key, Cached: true, Result: v})
+			WriteJSON(w, http.StatusOK, JobResponse{Key: key, Cached: true, Result: v})
 			return
 		}
 		// While draining, refuse instead of joining (or leading) a
 		// flight: drain must not park new requests behind in-flight
 		// work. Cache hits above are still served.
 		if !s.ready() {
-			w.Header().Set("Retry-After", s.retryAfterHint())
-			httpError(w, http.StatusServiceUnavailable, "%v", ErrDraining)
+			SetRetryAfter(w, s.cfg.RetryAfter)
+			HTTPError(w, http.StatusServiceUnavailable, "%v", ErrDraining)
 			return
 		}
 		leader, wait := s.cache.join(key)
@@ -161,13 +137,13 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if err := s.submit(j); err != nil {
 		switch {
 		case errors.Is(err, ErrQueueFull):
-			w.Header().Set("Retry-After", s.retryAfterHint())
-			httpError(w, http.StatusTooManyRequests, "%v", err)
+			SetRetryAfter(w, s.cfg.RetryAfter)
+			HTTPError(w, http.StatusTooManyRequests, "%v", err)
 		case errors.Is(err, ErrDraining):
-			w.Header().Set("Retry-After", s.retryAfterHint())
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
+			SetRetryAfter(w, s.cfg.RetryAfter)
+			HTTPError(w, http.StatusServiceUnavailable, "%v", err)
 		default:
-			httpError(w, http.StatusInternalServerError, "%v", err)
+			HTTPError(w, http.StatusInternalServerError, "%v", err)
 		}
 		return
 	}
@@ -189,11 +165,11 @@ func (s *Server) finishJob(w http.ResponseWriter, key string, start time.Time, o
 		var be errBuild
 		switch {
 		case errors.As(out.err, &be):
-			httpError(w, http.StatusUnprocessableEntity, "%v", out.err)
+			HTTPError(w, http.StatusUnprocessableEntity, "%v", out.err)
 		case errors.Is(out.err, context.DeadlineExceeded):
-			httpError(w, http.StatusGatewayTimeout, "%v", out.err)
+			HTTPError(w, http.StatusGatewayTimeout, "%v", out.err)
 		default:
-			httpError(w, http.StatusInternalServerError, "%v", out.err)
+			HTTPError(w, http.StatusInternalServerError, "%v", out.err)
 		}
 		return
 	}
@@ -201,7 +177,7 @@ func (s *Server) finishJob(w http.ResponseWriter, key string, start time.Time, o
 	s.metrics.completed.Add(1)
 	s.metrics.observeLatency(elapsed)
 	s.cache.put(key, out.result)
-	writeJSON(w, http.StatusOK, JobResponse{
+	WriteJSON(w, http.StatusOK, JobResponse{
 		Key:       key,
 		Cached:    false,
 		ElapsedMS: float64(elapsed.Microseconds()) / 1000,
@@ -216,21 +192,14 @@ func (s *Server) finishJob(w http.ResponseWriter, key string, start time.Time, o
 // them. Backpressure is the stream itself: submission into the bounded
 // queue blocks, so a sweep never overruns the pool.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding sweep: %v", err)
-		return
-	}
-	rs, err := req.Trace.Resolve(s.cfg.MaxRequests)
+	req, err := ReadSweep(w, r, s.cfg.MaxBody)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	grid := sweep.Grid{R: rs, Ks: req.Ks, Taus: req.Taus, Capacities: req.Capacities,
-		Specs: req.Strategies, Seed: req.Seed, PortableOnly: true}
-	if err := grid.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	rs, cells, err := req.Resolve(s.cfg.MaxRequests)
+	if err != nil {
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	type point struct {
@@ -238,28 +207,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		hit  *Result
 		j    *job
 	}
-	var pts []*point
-	for _, c := range grid.Cells() {
+	pts := make([]*point, len(cells))
+	for i, c := range cells {
 		pt := &point{line: SweepLine{K: c.K, Tau: c.Tau, Capacity: c.Capacity, Spec: c.Spec}}
-		params := core.Params{K: c.K, Tau: c.Tau}
-		if c.Capacity != "" {
-			// Grid.Validate (PortableOnly) parsed every capacity × K pair
-			// already; re-parse with the same restriction.
-			sched, serr := capacity.ParsePortableSchedule(c.Capacity, c.K)
-			if serr != nil {
-				httpError(w, http.StatusBadRequest, "%v", serr)
-				return
-			}
-			params.Capacity = sched
-		}
-		pt.line.Key = JobKey(rs, c.Spec, params, req.Seed)
+		pt.line.Key = JobKey(rs, c.Spec, c.Params, req.Seed)
 		if v, ok := s.cache.get(pt.line.Key); ok {
 			pt.hit = &v
 		} else {
 			pt.j = &job{
 				rs:      rs,
 				spec:    c.Spec,
-				params:  params,
+				params:  c.Params,
 				seed:    req.Seed,
 				key:     pt.line.Key,
 				ctx:     r.Context(),
@@ -267,7 +225,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				res:     make(chan outcome, 1),
 			}
 		}
-		pts = append(pts, pt)
+		pts[i] = pt
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)

@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
 	"time"
 
+	"mcpaging/internal/capacity"
 	"mcpaging/internal/core"
+	"mcpaging/internal/sweep"
 	"mcpaging/internal/trace"
 	"mcpaging/internal/workload"
 )
@@ -149,6 +154,85 @@ type SweepRequest struct {
 	Capacities []string `json:"capacities,omitempty"`
 	Strategies []string `json:"strategies"`
 	Seed       int64    `json:"seed"`
+}
+
+// The readers and resolvers below are the one path from a network body
+// to a simulation instance: mcservd's handlers and the mcfleet
+// coordinator both call them, so the two reject a bad body with the
+// same first error. Every error they return is the client's (a 400).
+
+// ReadJob decodes a POST /v1/jobs body of at most maxBody bytes and
+// requires a strategy.
+func ReadJob(w http.ResponseWriter, r *http.Request, maxBody int64) (JobRequest, error) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
+	var req JobRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		return req, fmt.Errorf("decoding job: %w", err)
+	}
+	if req.Strategy == "" {
+		return req, errors.New("strategy is required")
+	}
+	return req, nil
+}
+
+// ReadSweep decodes a POST /v1/sweep body of at most maxBody bytes.
+// An empty strategy list is left to the grid's empty-dimension check.
+func ReadSweep(w http.ResponseWriter, r *http.Request, maxBody int64) (SweepRequest, error) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
+	var req SweepRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		return req, fmt.Errorf("decoding sweep: %w", err)
+	}
+	return req, nil
+}
+
+// Resolve turns the job into its instance and cache key, checking in
+// this order: the capacity spec (portable families only — a client
+// spec must never name a file on the host), the model parameters, then
+// the trace under the maxRequests budget.
+func (req JobRequest) Resolve(maxRequests int) (core.RequestSet, core.Params, string, error) {
+	params := core.Params{K: req.K, Tau: req.Tau}
+	if req.Capacity != "" {
+		sched, err := capacity.ParsePortableSchedule(req.Capacity, req.K)
+		if err != nil {
+			return nil, params, "", err
+		}
+		params.Capacity = sched
+	}
+	if err := params.Validate(); err != nil {
+		return nil, params, "", err
+	}
+	rs, err := req.Trace.Resolve(maxRequests)
+	if err != nil {
+		return nil, params, "", err
+	}
+	return rs, params, JobKey(rs, req.Strategy, params, req.Seed), nil
+}
+
+// Resolve materialises the sweep's trace under the maxRequests budget,
+// then expands its grid into cells in canonical order, each carrying
+// its parameters with the schedule resolved; capacity specs are held
+// to the portable families. The cell count — a product the body only
+// claims — is held to the same budget before any cell is allocated.
+func (req SweepRequest) Resolve(maxRequests int) (core.RequestSet, []sweep.Cell, error) {
+	rs, err := req.Trace.Resolve(maxRequests)
+	if err != nil {
+		return nil, nil, err
+	}
+	n := 1
+	for _, d := range []int{len(req.Ks), len(req.Taus), max(1, len(req.Capacities)), len(req.Strategies)} {
+		if d > 0 && n > maxRequests/d {
+			return nil, nil, fmt.Errorf("sweep: grid of %d×%d×%d×%d cells exceeds the per-job budget of %d",
+				len(req.Ks), len(req.Taus), max(1, len(req.Capacities)), len(req.Strategies), maxRequests)
+		}
+		n *= d
+	}
+	cells, err := sweep.Grid{R: rs, Ks: req.Ks, Taus: req.Taus, Capacities: req.Capacities,
+		Specs: req.Strategies, PortableOnly: true}.Cells()
+	if err != nil {
+		return nil, nil, err
+	}
+	return rs, cells, nil
 }
 
 // SweepLine is one JSONL line of the sweep stream.

@@ -52,85 +52,88 @@ type Grid struct {
 	Observe func(pt Point) (obs sim.Observer, done func(sim.Result) error)
 }
 
-// Validate checks the grid is non-empty and structurally sound.
-func (g Grid) Validate() error {
+// Cell is one grid coordinate. Cells — not Points — are the unit the
+// fleet coordinator routes: a Cell plus the shared workload fully
+// determines one job.
+type Cell struct {
+	// Params holds the cell's K and τ and, when Capacity is set, that
+	// spec resolved against K as Params.Capacity. Cells sharing a
+	// (capacity, K) pair share one parsed schedule.
+	core.Params
+	// Capacity is the cell's K(t) schedule spec; "" = fixed capacity.
+	// It shadows Params.Capacity, the schedule it resolves to.
+	Capacity string
+	Spec     string
+}
+
+// Cells checks the grid and enumerates it in canonical order — K-major,
+// then τ, then capacity, then spec. This single definition of "grid
+// order" is shared by Run (point order), mcservd's /v1/sweep stream,
+// and mcfleet's re-merge of results arriving out of order from many
+// workers. Each capacity spec is parsed once per K.
+func (g Grid) Cells() ([]Cell, error) {
 	if err := g.R.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	if len(g.Ks) == 0 || len(g.Taus) == 0 || len(g.Specs) == 0 {
-		return fmt.Errorf("sweep: empty grid dimension (K×τ×spec = %d×%d×%d)",
+		return nil, fmt.Errorf("sweep: empty grid dimension (K×τ×spec = %d×%d×%d)",
 			len(g.Ks), len(g.Taus), len(g.Specs))
 	}
 	for _, k := range g.Ks {
 		if k < g.R.NumCores() {
-			return fmt.Errorf("sweep: K=%d below core count %d", k, g.R.NumCores())
+			return nil, fmt.Errorf("sweep: K=%d below core count %d", k, g.R.NumCores())
 		}
 	}
 	for _, tau := range g.Taus {
 		if tau < 0 {
-			return fmt.Errorf("sweep: negative tau %d", tau)
+			return nil, fmt.Errorf("sweep: negative tau %d", tau)
 		}
 	}
 	parse := capacity.ParseSchedule
 	if g.PortableOnly {
 		parse = capacity.ParsePortableSchedule
 	}
-	for _, cap := range g.Capacities {
-		if cap == "" {
+	caps := g.Capacities
+	if len(caps) == 0 {
+		caps = []string{""}
+	}
+	// scheds[c][k] is caps[c] resolved against Ks[k]; nil for "".
+	scheds := make([][]*capacity.Schedule, len(caps))
+	for c, spec := range caps {
+		scheds[c] = make([]*capacity.Schedule, len(g.Ks))
+		if spec == "" {
 			continue
 		}
-		for _, k := range g.Ks {
-			if _, err := parse(cap, k); err != nil {
-				return fmt.Errorf("sweep: K=%d: %v", k, err)
+		for k, base := range g.Ks {
+			sched, err := parse(spec, base)
+			if err != nil {
+				return nil, fmt.Errorf("sweep: K=%d: %v", base, err)
 			}
+			scheds[c][k] = sched
 		}
 	}
-	return nil
-}
-
-// capacities returns the capacity dimension, defaulting to the single
-// fixed-capacity entry when none is configured.
-func (g Grid) capacities() []string {
-	if len(g.Capacities) == 0 {
-		return []string{""}
-	}
-	return g.Capacities
-}
-
-// Cell is one grid coordinate. Cells — not Points — are the unit the
-// fleet coordinator routes: a Cell plus the shared workload fully
-// determines one job.
-type Cell struct {
-	K, Tau int
-	// Capacity is the point's K(t) schedule spec; "" = fixed capacity.
-	Capacity string
-	Spec     string
-}
-
-// Cells enumerates the grid in canonical order — K-major, then τ, then
-// capacity, then spec. This single definition of "grid order" is shared
-// by Run (point order), mcservd's /v1/sweep stream, and mcfleet's
-// re-merge of results arriving out of order from many workers.
-func (g Grid) Cells() []Cell {
-	caps := g.capacities()
 	cells := make([]Cell, 0, len(g.Ks)*len(g.Taus)*len(caps)*len(g.Specs))
-	for _, k := range g.Ks {
+	for k, base := range g.Ks {
 		for _, tau := range g.Taus {
-			for _, cap := range caps {
-				for _, spec := range g.Specs {
-					cells = append(cells, Cell{K: k, Tau: tau, Capacity: cap, Spec: spec})
+			for c, spec := range caps {
+				params := core.Params{K: base, Tau: tau}
+				if sched := scheds[c][k]; sched != nil {
+					// Only a real schedule: a nil *Schedule stored in the
+					// interface would read as elastic.
+					params.Capacity = sched
+				}
+				for _, s := range g.Specs {
+					cells = append(cells, Cell{Params: params, Capacity: spec, Spec: s})
 				}
 			}
 		}
 	}
-	return cells
+	return cells, nil
 }
 
 // Point is one grid cell's result.
 type Point struct {
-	K, Tau   int
-	Capacity string
-	Spec     string
+	Cell
 	Strategy string
 	Faults   int64
 	Rate     float64
@@ -151,17 +154,17 @@ type Point struct {
 // request set is validated and its occurrence index built once per
 // worker, not once per grid cell.
 func Run(g Grid) ([]Point, error) {
-	if err := g.Validate(); err != nil {
+	cells, err := g.Cells()
+	if err != nil {
 		return nil, err
 	}
 	workers := g.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cells := g.Cells()
 	points := make([]Point, len(cells))
 	for i, c := range cells {
-		points[i] = Point{K: c.K, Tau: c.Tau, Capacity: c.Capacity, Spec: c.Spec}
+		points[i] = Point{Cell: c}
 	}
 	if workers > len(points) {
 		workers = len(points)
@@ -186,21 +189,12 @@ func Run(g Grid) ([]Point, error) {
 					continue
 				}
 				pt.Strategy = st.Name()
-				params := core.Params{K: pt.K, Tau: pt.Tau}
-				if pt.Capacity != "" {
-					sched, serr := capacity.ParseSchedule(pt.Capacity, pt.K)
-					if serr != nil {
-						pt.Err = serr
-						continue
-					}
-					params.Capacity = sched
-				}
 				var obs sim.Observer
 				var done func(sim.Result) error
 				if g.Observe != nil {
 					obs, done = g.Observe(*pt)
 				}
-				res, rerr := rn.Run(params, st, obs)
+				res, rerr := rn.Run(pt.Params, st, obs)
 				if rerr != nil {
 					pt.Err = rerr
 					continue

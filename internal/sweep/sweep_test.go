@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -232,12 +233,18 @@ func TestCellsCanonicalOrder(t *testing.T) {
 		Taus:  []int{0, 1},
 		Specs: []string{"S(LRU)", "S(FIFO)"},
 	}
-	cells := g.Cells()
+	cells, err := g.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := func(k, tau int, spec string) sweep.Cell {
+		return sweep.Cell{Params: core.Params{K: k, Tau: tau}, Spec: spec}
+	}
 	want := []sweep.Cell{
-		{2, 0, "", "S(LRU)"}, {2, 0, "", "S(FIFO)"},
-		{2, 1, "", "S(LRU)"}, {2, 1, "", "S(FIFO)"},
-		{4, 0, "", "S(LRU)"}, {4, 0, "", "S(FIFO)"},
-		{4, 1, "", "S(LRU)"}, {4, 1, "", "S(FIFO)"},
+		cell(2, 0, "S(LRU)"), cell(2, 0, "S(FIFO)"),
+		cell(2, 1, "S(LRU)"), cell(2, 1, "S(FIFO)"),
+		cell(4, 0, "S(LRU)"), cell(4, 0, "S(FIFO)"),
+		cell(4, 1, "S(LRU)"), cell(4, 1, "S(FIFO)"),
 	}
 	if len(cells) != len(want) {
 		t.Fatalf("%d cells, want %d", len(cells), len(want))
@@ -252,8 +259,52 @@ func TestCellsCanonicalOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range pts {
-		if (sweep.Cell{p.K, p.Tau, p.Capacity, p.Spec}) != cells[i] {
+		if p.Cell != cells[i] {
 			t.Fatalf("point %d (%+v) out of cell order (%+v)", i, p, cells[i])
 		}
+	}
+}
+
+// TestCellsParseEachScheduleOnce pins the capacity dimension of the
+// grid: every cell of one (capacity, K) pair carries the same parsed
+// schedule, bound to that K, and fixed-capacity cells carry none.
+func TestCellsParseEachScheduleOnce(t *testing.T) {
+	g := sweep.Grid{
+		R:          workload(),
+		Ks:         []int{6, 12},
+		Taus:       []int{0, 2},
+		Capacities: []string{"", "step(to=50%,at=4)"},
+		Specs:      []string{"S(LRU)", "S(FIFO)"},
+	}
+	cells, err := g.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 16 {
+		t.Fatalf("%d cells, want 16", len(cells))
+	}
+	first := map[int]core.CapacitySchedule{}
+	for _, c := range cells {
+		if c.Capacity == "" {
+			if c.Params.Capacity != nil {
+				t.Fatalf("fixed-capacity cell %+v carries a schedule", c)
+			}
+			continue
+		}
+		if c.Params.Capacity == nil || c.Params.Capacity.Base() != c.K {
+			t.Fatalf("cell %+v: schedule not bound to its K", c)
+		}
+		if prev, ok := first[c.K]; ok && prev != c.Params.Capacity {
+			t.Fatalf("K=%d: capacity parsed more than once", c.K)
+		}
+		first[c.K] = c.Params.Capacity
+	}
+	if len(first) != 2 {
+		t.Fatalf("schedules for %d Ks, want 2", len(first))
+	}
+	bad := g
+	bad.Capacities = []string{"step(to=50%,at=4)", "nope()"}
+	if _, err := bad.Cells(); err == nil || !strings.Contains(err.Error(), "K=6") {
+		t.Fatalf("unknown family: err %v, want the first K named", err)
 	}
 }
